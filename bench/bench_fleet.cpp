@@ -3,11 +3,12 @@
 //
 // Two claims under test:
 //
-//   1. Correct scale-out: the deterministic loopback engine at fleet scale
-//      is bit-identical to engine::TraceRunner (the engine harness) — the
-//      same protocol ran, just on live sessions over real reactors.
+//   1. Correct scale-out: FleetRuntime::run_loopback, the repo's one live
+//      loopback replay, is bit-identical at fleet scale to
+//      engine::TraceRunner (the engine harness) — the same protocol ran,
+//      just through NodeRuntime sessions over real reactors.
 //   2. The fleet I/O plane earns its keep: epoll readiness + batched
-//      sendmmsg/recvmmsg over shard sockets must beat the naive PR-5
+//      sendmmsg/recvmmsg over shard sockets must beat the naive
 //      scale-out (poll + one sendto/recvfrom syscall per datagram + one
 //      socket per node) by >= 2x contacts/s at the 10k-node point.
 //

@@ -10,6 +10,42 @@
 
 namespace bsub::engine {
 
+ContentMessage content_message(const workload::Workload& workload,
+                               const workload::Message& m) {
+  ContentMessage cm;
+  cm.id = m.id;
+  cm.key = workload.keys().name(m.key);
+  cm.body.assign(m.size_bytes, 0x5A);
+  cm.created = m.created;
+  cm.ttl = m.ttl;
+  return cm;
+}
+
+void summarize_deliveries(std::span<const DeliveryRecord> delivered,
+                          const workload::Workload& workload,
+                          TraceRunResults& results) {
+  std::unordered_map<std::uint64_t, util::Time> created_at;
+  created_at.reserve(workload.messages().size());
+  for (const workload::Message& m : workload.messages()) {
+    created_at.emplace(m.id, m.created);
+  }
+  results.deliveries = delivered.size();
+  results.expected_deliveries = workload.expected_deliveries();
+  if (results.expected_deliveries > 0) {
+    results.delivery_ratio =
+        static_cast<double>(results.deliveries) /
+        static_cast<double>(results.expected_deliveries);
+  }
+  double delay_sum = 0.0;
+  for (const DeliveryRecord& d : delivered) {
+    delay_sum += util::to_minutes(d.at - created_at.at(d.message_id));
+  }
+  if (results.deliveries > 0) {
+    results.mean_delay_minutes =
+        delay_sum / static_cast<double>(results.deliveries);
+  }
+}
+
 TraceRunner TraceRunner::from_protocol_spec(std::string_view protocol_spec,
                                             double bandwidth_bytes_per_second,
                                             TraceRunnerOptions options) {
@@ -49,14 +85,6 @@ TraceRunResults TraceRunner::run(trace::ContactStream& contacts,
 
   const auto& messages = workload.messages();
 
-  // Creation times of each message id, for delay computation. Prefilled so
-  // the map is read-only while workers run.
-  std::unordered_map<std::uint64_t, util::Time> created_at;
-  created_at.reserve(messages.size());
-  for (const workload::Message& m : messages) {
-    created_at.emplace(m.id, m.created);
-  }
-
   // Frame tallies commute (integer sums), so relaxed atomics keep them
   // schedule-independent.
   std::atomic<std::uint64_t> contacts_processed{0};
@@ -67,13 +95,7 @@ TraceRunResults TraceRunner::run(trace::ContactStream& contacts,
   auto exec_event = [&](const sim::ScenarioEvent& e) {
     if (e.is_message) {
       const workload::Message& m = messages[e.message_index];
-      ContentMessage cm;
-      cm.id = m.id;
-      cm.key = workload.keys().name(m.key);
-      cm.body.assign(m.size_bytes, 0x5A);
-      cm.created = m.created;
-      cm.ttl = m.ttl;
-      net.node(m.producer).publish(std::move(cm), m.created);
+      net.node(m.producer).publish(content_message(workload, m), m.created);
       return;
     }
     const trace::Contact& c = e.contact;
@@ -115,7 +137,7 @@ TraceRunResults TraceRunner::run(trace::ContactStream& contacts,
       },
       [&](std::size_t j) { exec_event(staged[j]); }, pcfg);
   // An empty scenario never engaged the pool; report it as the serial run
-  // it effectively was (matching the materialized executor's stats).
+  // it effectively was.
   if (last_run_stats_.events == 0) last_run_stats_.threads_used = 1;
 
   TraceRunResults results;
@@ -123,24 +145,9 @@ TraceRunResults TraceRunner::run(trace::ContactStream& contacts,
   results.frames_delivered = frames_delivered.load();
   results.frames_dropped = frames_dropped.load();
   results.bytes_used = bytes_used.load();
-
-  // Summarize deliveries (nodes already deduplicate per consumer). The
-  // node-major log order makes this float sum canonical.
-  results.deliveries = net.deliveries().size();
-  results.expected_deliveries = workload.expected_deliveries();
-  if (results.expected_deliveries > 0) {
-    results.delivery_ratio =
-        static_cast<double>(results.deliveries) /
-        static_cast<double>(results.expected_deliveries);
-  }
-  double delay_sum = 0.0;
-  for (const DeliveryRecord& d : net.deliveries()) {
-    delay_sum += util::to_minutes(d.at - created_at.at(d.message_id));
-  }
-  if (results.deliveries > 0) {
-    results.mean_delay_minutes =
-        delay_sum / static_cast<double>(results.deliveries);
-  }
+  // Nodes already deduplicate per consumer; the node-major log order makes
+  // the mean-delay float sum canonical.
+  summarize_deliveries(net.deliveries(), workload, results);
   return results;
 }
 

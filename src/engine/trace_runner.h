@@ -20,6 +20,7 @@
 // byte-identical TraceRunResults.
 #pragma once
 
+#include <span>
 #include <string_view>
 
 #include "core/broker_allocation.h"
@@ -42,6 +43,20 @@ struct TraceRunResults {
   std::uint64_t frames_dropped = 0;
   std::uint64_t bytes_used = 0;
 };
+
+/// The engine form of a workload message: same id, key, creation instant
+/// and TTL, with a body of `size_bytes` bytes of 0x5A. Every substrate that
+/// replays a workload builds its messages here, so bodies — and with them
+/// frame sizes and byte budgets — agree bit for bit.
+ContentMessage content_message(const workload::Workload& workload,
+                               const workload::Message& m);
+
+/// Fills the delivery fields of `results` (deliveries, expected_deliveries,
+/// delivery_ratio, mean_delay_minutes) from a run's delivery log. Pass the
+/// canonical node-major log: the mean delay is a float sum in log order.
+void summarize_deliveries(std::span<const DeliveryRecord> delivered,
+                          const workload::Workload& workload,
+                          TraceRunResults& results);
 
 /// Execution knobs; semantics are identical for every setting (see the
 /// determinism contract above).

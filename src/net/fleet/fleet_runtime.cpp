@@ -55,10 +55,12 @@ FleetConfig fleet_config_from_spec(std::string_view protocol_spec,
 // Loopback lanes
 
 /// One worker thread's private virtual-time world. Contacts executed on the
-/// lane are independent episodes: the clock is reset and the reactor rebased
-/// to each contact's start (legal because decay ticks are disabled and
-/// sessions disarm their timers at teardown, so nothing is pending between
-/// contacts).
+/// lane are independent episodes: the contact's two NodeRuntimes are bound
+/// to the lane, the clock is reset and the reactor rebased to the contact's
+/// start, and the runtimes are unbound at the end. The rebase is legal
+/// because decay ticks are disabled and unbinding tears down every session
+/// with its timers, so nothing is pending between contacts (Reactor::rebase
+/// throws if anything were).
 struct FleetRuntime::Lane {
   ManualClock clock;
   Reactor reactor;
@@ -148,13 +150,9 @@ FleetRuntime::FleetRuntime(FleetConfig config) : config_(std::move(config)) {
   if (config_.shards == 0) config_.shards = 1;
 }
 
-FleetRuntime::~FleetRuntime() {
-  // Nodes must detach before lanes/shards die (members are declared so that
-  // nodes_ destructs first, but an explicit unbind keeps the intent clear).
-  for (auto& n : nodes_) {
-    if (n) n->unbind();
-  }
-}
+// nodes_ is declared last, so every NodeRuntime unbinds before the lanes and
+// shards it may still reference are destroyed.
+FleetRuntime::~FleetRuntime() = default;
 
 void FleetRuntime::require_unused() {
   if (ran_) {
@@ -183,7 +181,7 @@ void FleetRuntime::make_nodes(std::size_t node_count,
   nodes_.reserve(node_count);
   for (trace::NodeId n = 0; n < node_count; ++n) {
     nodes_.push_back(
-        std::make_unique<FleetNode>(n, config_.runtime, counters_));
+        std::make_unique<NodeRuntime>(n, config_.runtime, counters_));
     engine::BsubNode& node = nodes_.back()->node();
     for (workload::KeyId k : workload.interests_of(n)) {
       node.subscribe(workload.keys().name(k));
@@ -214,7 +212,7 @@ FleetRuntime::Lane& FleetRuntime::lane_for_thread() {
   return *lane;
 }
 
-void FleetRuntime::pump_lane(Lane& lane, FleetNode& a, FleetNode& b,
+void FleetRuntime::pump_lane(Lane& lane, NodeRuntime& a, NodeRuntime& b,
                              util::Time cap) {
   for (;;) {
     lane.hub.deliver_all();
@@ -238,16 +236,17 @@ void FleetRuntime::exec_loopback_contact(Lane& lane, const trace::Contact& c) {
   // Election only mutates the two endpoints' state — safe inside a
   // conflict batch, exactly like TraceRunner.
   election_->on_contact(c.a, c.b, c.start);
-  FleetNode& a = *nodes_[c.a];
-  FleetNode& b = *nodes_[c.b];
+  NodeRuntime& a = *nodes_[c.a];
+  NodeRuntime& b = *nodes_[c.b];
   a.node().set_broker(election_->is_broker(c.a));
   b.node().set_broker(election_->is_broker(c.b));
 
   a.bind(lane.port(c.a), lane.reactor);
   b.bind(lane.port(c.b), lane.reactor);
 
-  // One shared byte budget, charged frame-by-frame in the same order the
-  // engine harness charges its FIFO (see ContactOrchestrator).
+  // One shared byte budget, charged frame-by-frame by the two sessions in
+  // the same order the engine harness charges its FIFO: the hub's FIFO
+  // reproduces the harness's alternating frame processing.
   auto budget = std::make_shared<sim::Link>(c.duration(),
                                             config_.bandwidth_bytes_per_second);
   a.connect(c.b, budget);
@@ -283,13 +282,8 @@ void FleetRuntime::exec_loopback_event(const sim::ScenarioEvent& e,
                                        const workload::Workload& workload) {
   if (e.is_message) {
     const workload::Message& m = workload.messages()[e.message_index];
-    engine::ContentMessage cm;
-    cm.id = m.id;
-    cm.key = workload.keys().name(m.key);
-    cm.body.assign(m.size_bytes, 0x5A);
-    cm.created = m.created;
-    cm.ttl = m.ttl;
-    nodes_[m.producer]->node().publish(std::move(cm), m.created);
+    nodes_[m.producer]->node().publish(engine::content_message(workload, m),
+                                       m.created);
     return;
   }
   exec_loopback_contact(lane_for_thread(), e.contact);
@@ -317,11 +311,6 @@ FleetRunResults FleetRuntime::run_loopback(trace::ContactStream& contacts,
   }
 
   const auto& messages = workload.messages();
-  std::unordered_map<std::uint64_t, util::Time> created_at;
-  created_at.reserve(messages.size());
-  for (const workload::Message& m : messages) {
-    created_at.emplace(m.id, m.created);
-  }
 
   static std::atomic<std::uint64_t> run_sequence{0};
   run_token_ = run_sequence.fetch_add(1, std::memory_order_relaxed) + 1;
@@ -358,23 +347,7 @@ FleetRunResults FleetRuntime::run_loopback(trace::ContactStream& contacts,
   results.transport = counters_.snapshot();
   results.protocol.frames_delivered = results.transport.frames_received;
   results.protocol.frames_dropped = results.transport.frames_dropped;
-
-  const auto& delivered = deliveries();
-  results.protocol.deliveries = delivered.size();
-  results.protocol.expected_deliveries = workload.expected_deliveries();
-  if (results.protocol.expected_deliveries > 0) {
-    results.protocol.delivery_ratio =
-        static_cast<double>(results.protocol.deliveries) /
-        static_cast<double>(results.protocol.expected_deliveries);
-  }
-  double delay_sum = 0.0;
-  for (const engine::DeliveryRecord& d : delivered) {
-    delay_sum += util::to_minutes(d.at - created_at.at(d.message_id));
-  }
-  if (results.protocol.deliveries > 0) {
-    results.protocol.mean_delay_minutes =
-        delay_sum / static_cast<double>(results.protocol.deliveries);
-  }
+  engine::summarize_deliveries(deliveries(), workload, results.protocol);
   if (results.wall_seconds > 0) {
     results.contacts_per_second =
         static_cast<double>(results.protocol.contacts_processed) /
@@ -459,14 +432,10 @@ void FleetRuntime::exec_command(Shard& shard, const Command& cmd,
       return;
     case Command::Kind::kPublish: {
       const workload::Message& m = workload.messages()[cmd.message_index];
-      engine::ContentMessage cm;
-      cm.id = m.id;
-      cm.key = workload.keys().name(m.key);
-      cm.body.assign(m.size_bytes, 0x5A);
+      engine::ContentMessage cm = engine::content_message(workload, m);
       // Real-time runs live on the shared steady clock, not trace time;
       // workload TTLs (hours) comfortably outlast the run.
       cm.created = shard.reactor.now();
-      cm.ttl = m.ttl;
       publish_ms_[cmd.message_index].store(cm.created,
                                            std::memory_order_relaxed);
       nodes_[m.producer]->node().publish(std::move(cm), cm.created);

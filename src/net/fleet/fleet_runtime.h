@@ -1,9 +1,8 @@
 // Fleet runtime: thousands of live B-SUB nodes per reactor thread.
 //
-// The contact orchestrator (net/orchestrator.h) proves the live stack
-// correct one node-pair at a time on a single reactor; the fleet runtime
-// scales the same stack out in two directions, both driving contacts from
-// any trace::ContactStream:
+// Every node is a net::NodeRuntime — the same session glue the bsub_node
+// daemon runs — and the fleet drives contacts between them from any
+// trace::ContactStream, on one of two engines:
 //
 //   run_loopback()  deterministic virtual time, sharded across reactor
 //                   threads. Contacts are scheduled with the windowed
@@ -12,18 +11,21 @@
 //                   so each worker thread owns a *lane* — a ManualClock +
 //                   Reactor + LoopbackHub — and replays its contacts as
 //                   independent virtual-time episodes (clock reset +
-//                   reactor rebase per contact). FleetNodes carry the
-//                   persistent per-node state between lanes. Results are
-//                   bit-identical to ContactOrchestrator and — for
-//                   decay_tick = 0, which this engine requires — to
-//                   engine::TraceRunner, across any thread count.
+//                   reactor rebase per contact). Each contact binds its two
+//                   NodeRuntimes to the lane and unbinds them afterwards;
+//                   the runtimes carry the persistent per-node state
+//                   between lanes. With threads = 1 this is the
+//                   single-lane live replay. Results are bit-identical to
+//                   engine::TraceRunner (decay_tick = 0, which this engine
+//                   requires) across any thread count.
 //
 //   run_udp()       real time over the fleet UDP plane
 //                   (net/fleet/fleet_udp.h): nodes are sharded
 //                   node-disjoint across reactor threads (home shard =
-//                   node % shards), each shard multiplexes its nodes over
-//                   one socket (or per-node sockets as the measurable
-//                   baseline) with optional sendmmsg/recvmmsg batching.
+//                   node % shards), each bound once to its shard, and each
+//                   shard multiplexes its nodes over one socket (or
+//                   per-node sockets as the measurable baseline) with
+//                   optional sendmmsg/recvmmsg batching.
 //                   A driver thread replays the scenario as fast as an
 //                   in-flight window allows, posting contact/role/publish
 //                   commands to the owning shard over a wake pipe; each
@@ -48,7 +50,6 @@
 #include "core/broker_allocation.h"
 #include "engine/trace_runner.h"
 #include "metrics/collector.h"
-#include "net/fleet/fleet_node.h"
 #include "net/fleet/fleet_udp.h"
 #include "net/node_runtime.h"
 #include "net/reactor.h"
@@ -154,7 +155,7 @@ class FleetRuntime {
   /// Valid after a run.
   const engine::BsubNode& node(trace::NodeId id) const;
   /// All consumer deliveries, node-major — the canonical order shared with
-  /// TraceRunner and ContactOrchestrator. Populated by run_loopback();
+  /// TraceRunner. Populated by run_loopback();
   /// empty after run_udp() (real-time runs only count and sample).
   const std::vector<engine::DeliveryRecord>& deliveries() const;
 
@@ -171,7 +172,8 @@ class FleetRuntime {
   void exec_loopback_event(const sim::ScenarioEvent& event,
                            const workload::Workload& workload);
   void exec_loopback_contact(Lane& lane, const trace::Contact& c);
-  void pump_lane(Lane& lane, FleetNode& a, FleetNode& b, util::Time cap);
+  void pump_lane(Lane& lane, NodeRuntime& a, NodeRuntime& b,
+                 util::Time cap);
 
   // --- udp engine ---
   static std::uint64_t contact_key(std::uint32_t a, std::uint32_t b) {
@@ -212,8 +214,8 @@ class FleetRuntime {
   std::atomic<std::uint64_t> live_deliveries_{0};
 
   bool ran_ = false;
-  /// Declared last: FleetNode teardown (unbind) may touch lanes/shards.
-  std::vector<std::unique_ptr<FleetNode>> nodes_;
+  /// Declared last: node teardown (unbind) may touch lanes/shards.
+  std::vector<std::unique_ptr<NodeRuntime>> nodes_;
 };
 
 }  // namespace bsub::net

@@ -34,6 +34,19 @@ void put_u32(std::uint8_t* p, std::uint32_t v) {
   p[3] = static_cast<std::uint8_t>(v >> 24);
 }
 
+/// base_port + offset as a port number. The sum must not wrap: a wrapped
+/// port would silently bind elsewhere (port 0 is an ephemeral port).
+std::uint16_t fleet_port(std::uint16_t base_port, std::uint64_t offset,
+                         const char* field) {
+  if (offset > 65535u - base_port) {
+    throw util::ConfigError("fleet UDP port " + std::to_string(base_port) +
+                                " + " + std::to_string(offset) +
+                                " exceeds 65535",
+                            field, "lower base_port or the fleet size");
+  }
+  return static_cast<std::uint16_t>(base_port + offset);
+}
+
 std::uint32_t get_u32(const std::uint8_t* p) {
   return static_cast<std::uint32_t>(p[0]) |
          (static_cast<std::uint32_t>(p[1]) << 8) |
@@ -87,8 +100,11 @@ FleetUdpShard::FleetUdpShard(Reactor& reactor, std::size_t shard_index,
   config_.validate();
   recv_buf_.resize(config_.mtu + kFleetHeaderBytes + 1);
   if (!config_.per_node_sockets) {
+    // Every shard addresses every other shard's socket, so the whole range
+    // must fit, not just this shard's port.
+    fleet_port(config_.base_port, shard_count_ - 1, "fleet.shards");
     shard_fd_ = make_socket(
-        static_cast<std::uint16_t>(config_.base_port + shard_index_));
+        fleet_port(config_.base_port, shard_index_, "fleet.shards"));
     reactor_.add_fd(shard_fd_, [this] { on_readable(shard_fd_); });
   }
   if (config_.batched_io) {
@@ -164,7 +180,7 @@ FleetPort& FleetUdpShard::add_node(std::uint32_t node) {
   }
   int fd = shard_fd_;
   if (config_.per_node_sockets) {
-    fd = make_socket(static_cast<std::uint16_t>(config_.base_port + node));
+    fd = make_socket(fleet_port(config_.base_port, node, "fleet.nodes"));
     reactor_.add_fd(fd, [this, fd] { on_readable(fd); });
   }
   auto [it, inserted] =

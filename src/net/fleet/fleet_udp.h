@@ -22,7 +22,7 @@
 //             non-Linux builds; see fleet_udp_batched_available()).
 //
 // Each node sees the plane through a FleetPort — a Transport whose
-// endpoints are node ids — so Session/FleetNode code is identical over
+// endpoints are node ids — so Session/NodeRuntime code is identical over
 // loopback, single-socket UDP, and the batched mux. Delivery is
 // best-effort exactly like UDP: a full send queue or socket buffer drops
 // the datagram (counted), and the session RTO ladder recovers.
@@ -105,6 +105,8 @@ class FleetPort final : public Transport {
 /// array.
 class FleetUdpShard {
  public:
+  /// Throws util::ConfigError if a shard socket's port (base_port + shard)
+  /// would pass 65535.
   FleetUdpShard(Reactor& reactor, std::size_t shard_index,
                 std::size_t shard_count, FleetUdpConfig config);
   ~FleetUdpShard();
@@ -113,8 +115,9 @@ class FleetUdpShard {
   FleetUdpShard& operator=(const FleetUdpShard&) = delete;
 
   /// Creates the port for a node homed on this shard (in `node` socket
-  /// mode this opens and registers the node's socket). The node id must
-  /// belong to this shard (node % shard_count == shard_index).
+  /// mode this opens and registers the node's socket, at base_port + node;
+  /// util::ConfigError if that passes 65535). The node id must belong to
+  /// this shard (node % shard_count == shard_index).
   FleetPort& add_node(std::uint32_t node);
 
   FleetPort* port(std::uint32_t node);

@@ -231,8 +231,10 @@ void Reactor::advance_to(ManualClock& clock, util::Time t) {
 }
 
 void Reactor::rebase(util::Time t) {
-  assert(wheel_.pending() == 0 &&
-         "rebase with pending timers would silently drop them");
+  if (wheel_.pending() != 0) {
+    throw std::logic_error(
+        "Reactor: rebase with pending timers would silently drop them");
+  }
   wheel_ = TimerWheel(t);
 }
 

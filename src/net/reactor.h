@@ -134,7 +134,7 @@ class Reactor {
   /// (the fleet's loopback lanes execute node-disjoint contacts out of
   /// global time order, one rebased episode per contact). Requires no
   /// pending timers — everything from the previous episode must have fired
-  /// or been cancelled.
+  /// or been cancelled; throws std::logic_error otherwise.
   void rebase(util::Time t);
 
   /// Real-time driving: waits until a registered fd is readable or the next

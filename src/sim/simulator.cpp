@@ -89,7 +89,7 @@ metrics::RunResults Simulator::run(trace::ContactStream& contacts,
       },
       pcfg);
   // An empty scenario never engaged the pool; report it as the serial run
-  // it effectively was (matching the materialized executor's stats).
+  // it effectively was.
   if (last_run_stats_.events == 0) last_run_stats_.threads_used = 1;
 
   protocol.on_end(now);

@@ -1,12 +1,25 @@
-// Fleet loopback engine vs engine harness at fleet scale: a thousand live
-// nodes sharded across reactor lanes must reproduce engine::TraceRunner
-// *bit for bit* — delivery logs, frame tallies, byte usage, float summaries
-// — across seeds, with >= 2 reactor threads. Custody sets (which nodes ever
-// carried each message) are compared against a serial engine replay, so the
-// messages traveled the same broker paths on both substrates.
+// Fleet loopback engine vs engine harness: live NodeRuntimes trading
+// datagrams over loopback lanes (sessions, fragmentation, acks, budget
+// charging at the datagram layer) must reproduce engine::TraceRunner *bit
+// for bit* — delivery logs, frame tallies, byte usage, float summaries —
+// across seeds, on two scenario shapes:
 //
-// decay_tick is 0 throughout: both substrates decay TCBF counters lazily
-// over identical intervals (see live_loopback_differential_test.cpp).
+//   - single lane: 12 nodes x 600 contacts at threads = 1, the live replay
+//     of a trace one contact at a time on one reactor;
+//   - fleet scale: 1000 nodes x 8000 contacts sharded across >= 2 reactor
+//     lanes.
+//
+// Custody sets (which nodes ever carried each message) are compared against
+// a serial engine replay, so the messages traveled the same broker paths on
+// both substrates.
+//
+// One deliberate knob: periodic decay ticks are disabled (decay_tick = 0,
+// which loopback lanes require anyway) so both substrates decay TCBF
+// counters lazily over identical intervals. Splitting a decay interval
+// across ticks changes the floating-point sum (df*t1 + df*t2 != df*(t1+t2)
+// bitwise), which would perturb counter values without changing protocol
+// semantics. Tick-driven decay is covered in
+// tests/net/loopback_runtime_test.cpp.
 #include <gtest/gtest.h>
 
 #include <set>
@@ -24,41 +37,65 @@
 namespace bsub::net {
 namespace {
 
-constexpr std::size_t kNodes = 1000;
-constexpr std::size_t kContacts = 8000;
-constexpr util::Time kTtl = 6 * util::kHour;
+/// One scenario family plus the lane count it runs at.
+struct Shape {
+  std::size_t nodes;
+  std::size_t contacts;
+  util::Time duration;
+  std::size_t communities;
+  util::Time ttl;
+  double messages_per_minute;
+  std::size_t threads;
+};
+
+constexpr Shape kSingleLane{12, 600, 8 * util::kHour, 5, 3 * util::kHour,
+                            1.0 / 30.0, 1};
+// The message population stays proportionate to the sparse contact plan
+// (~8 contacts per node).
+constexpr Shape kFleet{1000, 8000, 12 * util::kHour, 20, 6 * util::kHour,
+                       1.0 / 1440.0, 2};
+
+const core::BrokerElection::Config kElection{3, 5, 5 * util::kHour};
 
 struct Scenario {
   trace::ContactTrace trace;
   workload::KeySet keys;
   workload::Workload workload;
 
-  explicit Scenario(std::uint64_t seed)
+  Scenario(const Shape& shape, std::uint64_t seed)
       : trace([&] {
           trace::SyntheticTraceConfig cfg;
-          cfg.node_count = kNodes;
-          cfg.contact_count = kContacts;
-          cfg.duration = 12 * util::kHour;
-          cfg.community_count = 20;
+          cfg.node_count = shape.nodes;
+          cfg.contact_count = shape.contacts;
+          cfg.duration = shape.duration;
+          cfg.community_count = shape.communities;
           cfg.seed = seed;
           return trace::generate_trace(cfg);
         }()),
         keys(workload::twitter_trend_keys()), workload([&] {
           workload::WorkloadConfig wcfg;
-          wcfg.ttl = kTtl;
-          // Keep the message population proportionate to the sparse
-          // contact plan (~8 contacts per node).
-          wcfg.base_rate_per_minute = 1.0 / 1440.0;
+          wcfg.ttl = shape.ttl;
+          wcfg.base_rate_per_minute = shape.messages_per_minute;
           wcfg.seed = seed + 1;
           return workload::Workload(trace, keys, wcfg);
         }()) {}
 };
 
-engine::NodeConfig node_config_for(const Scenario& s) {
+engine::NodeConfig node_config_for(const Scenario& s, const Shape& shape) {
   engine::NodeConfig cfg;
-  cfg.df_per_minute =
-      core::compute_df(s.trace, kTtl, cfg.filter_params, cfg.initial_counter)
-          .df_per_minute;
+  cfg.df_per_minute = core::compute_df(s.trace, shape.ttl, cfg.filter_params,
+                                       cfg.initial_counter)
+                          .df_per_minute;
+  return cfg;
+}
+
+FleetConfig fleet_config_for(engine::NodeConfig node_config,
+                             const Shape& shape) {
+  FleetConfig cfg;
+  cfg.runtime.node = node_config;
+  cfg.runtime.decay_tick = 0;  // see file header
+  cfg.election = kElection;
+  cfg.threads = shape.threads;
   return cfg;
 }
 
@@ -75,21 +112,12 @@ std::vector<DeliveryTuple> tuples(
   return out;
 }
 
-FleetConfig fleet_config_for(engine::NodeConfig node_config) {
-  FleetConfig cfg;
-  cfg.runtime.node = node_config;
-  cfg.runtime.decay_tick = 0;
-  cfg.threads = 2;  // >= 2 reactor threads, per the acceptance bar
-  return cfg;
-}
-
 /// Serial engine replay that keeps its Network for custody introspection
 /// (TraceRunner discards its Network at return).
 class EngineReplay {
  public:
-  EngineReplay(const Scenario& s, engine::NodeConfig node_config,
-               core::BrokerElection::Config election_config)
-      : net_(node_config), election_(s.trace.node_count(), election_config) {
+  EngineReplay(const Scenario& s, engine::NodeConfig node_config)
+      : net_(node_config), election_(s.trace.node_count(), kElection) {
     net_.use_per_node_delivery_log(s.trace.node_count());
     for (trace::NodeId n = 0; n < s.trace.node_count(); ++n) {
       engine::BsubNode& node = net_.add_node(n);
@@ -107,13 +135,8 @@ class EngineReplay {
            messages[mi].created <= contacts[ci].start);
       if (take_message) {
         const workload::Message& m = messages[mi++];
-        engine::ContentMessage cm;
-        cm.id = m.id;
-        cm.key = s.workload.keys().name(m.key);
-        cm.body.assign(m.size_bytes, 0x5A);
-        cm.created = m.created;
-        cm.ttl = m.ttl;
-        net_.node(m.producer).publish(std::move(cm), m.created);
+        net_.node(m.producer)
+            .publish(engine::content_message(s.workload, m), m.created);
         continue;
       }
       const trace::Contact& c = contacts[ci++];
@@ -131,48 +154,46 @@ class EngineReplay {
   core::BrokerElection election_;
 };
 
-TEST(FleetDifferential, BitForBitVsTraceRunnerAcrossSeeds) {
-  for (std::uint64_t seed : {11u, 22u, 33u, 44u, 55u, 66u}) {
-    SCOPED_TRACE("seed " + std::to_string(seed));
-    Scenario s(seed);
-    const engine::NodeConfig node_config = node_config_for(s);
-    const core::BrokerElection::Config election{3, 5, 5 * util::kHour};
+/// Scalar results: integers exactly, floats bitwise (same summation order
+/// over identical node-major delivery logs).
+void expect_results_match(const Shape& shape, std::uint64_t seed) {
+  SCOPED_TRACE("seed " + std::to_string(seed));
+  Scenario s(shape, seed);
+  const engine::NodeConfig node_config = node_config_for(s, shape);
 
-    engine::TraceRunner runner(node_config, election);
-    const engine::TraceRunResults expect = runner.run(s.trace, s.workload);
-    ASSERT_GT(expect.deliveries, 0u);
+  engine::TraceRunner runner(node_config, kElection);
+  const engine::TraceRunResults expect = runner.run(s.trace, s.workload);
+  ASSERT_GT(expect.deliveries, 0u);
 
-    FleetRuntime fleet(fleet_config_for(node_config));
-    const FleetRunResults got = fleet.run_loopback(s.trace, s.workload);
-    EXPECT_GE(got.reactor_threads, 2u);
+  FleetRuntime fleet(fleet_config_for(node_config, shape));
+  const FleetRunResults got = fleet.run_loopback(s.trace, s.workload);
+  EXPECT_EQ(got.reactor_threads, shape.threads);
 
-    EXPECT_EQ(got.protocol.deliveries, expect.deliveries);
-    EXPECT_EQ(got.protocol.expected_deliveries, expect.expected_deliveries);
-    EXPECT_EQ(got.protocol.contacts_processed, expect.contacts_processed);
-    EXPECT_EQ(got.protocol.frames_delivered, expect.frames_delivered);
-    EXPECT_EQ(got.protocol.frames_dropped, expect.frames_dropped);
-    EXPECT_EQ(got.protocol.bytes_used, expect.bytes_used);
-    EXPECT_EQ(got.protocol.delivery_ratio, expect.delivery_ratio);
-    EXPECT_EQ(got.protocol.mean_delay_minutes, expect.mean_delay_minutes);
-  }
+  EXPECT_EQ(got.protocol.deliveries, expect.deliveries);
+  EXPECT_EQ(got.protocol.expected_deliveries, expect.expected_deliveries);
+  EXPECT_EQ(got.protocol.contacts_processed, expect.contacts_processed);
+  EXPECT_EQ(got.protocol.frames_delivered, expect.frames_delivered);
+  EXPECT_EQ(got.protocol.frames_dropped, expect.frames_dropped);
+  EXPECT_EQ(got.protocol.bytes_used, expect.bytes_used);
+  EXPECT_EQ(got.protocol.delivery_ratio, expect.delivery_ratio);
+  EXPECT_EQ(got.protocol.mean_delay_minutes, expect.mean_delay_minutes);
 }
 
-TEST(FleetDifferential, DeliveryLogsAndCustodySetsMatch) {
-  Scenario s(77);
-  const engine::NodeConfig node_config = node_config_for(s);
-  const core::BrokerElection::Config election{3, 5, 5 * util::kHour};
+/// Record-for-record delivery logs in the canonical node-major order, and
+/// per-message custody sets: every message was ever carried by exactly the
+/// same nodes on both substrates — same brokers, same relay paths.
+void expect_logs_and_custody_match(const Shape& shape, std::uint64_t seed) {
+  Scenario s(shape, seed);
+  const engine::NodeConfig node_config = node_config_for(s, shape);
 
-  EngineReplay replay(s, node_config, election);
+  EngineReplay replay(s, node_config);
 
-  FleetRuntime fleet(fleet_config_for(node_config));
+  FleetRuntime fleet(fleet_config_for(node_config, shape));
   const FleetRunResults got = fleet.run_loopback(s.trace, s.workload);
   ASSERT_GT(got.protocol.deliveries, 0u);
 
-  // Record-for-record delivery logs in the canonical node-major order.
   EXPECT_EQ(tuples(fleet.deliveries()), tuples(replay.net().deliveries()));
 
-  // Custody sets: every message was ever carried by exactly the same nodes
-  // on both substrates — same brokers, same relay paths.
   std::set<std::uint64_t> message_ids;
   for (const workload::Message& m : s.workload.messages()) {
     message_ids.insert(m.id);
@@ -190,6 +211,26 @@ TEST(FleetDifferential, DeliveryLogsAndCustodySetsMatch) {
   }
   EXPECT_EQ(mismatches, 0u);
   EXPECT_GT(custody_hops, 0u);  // the relay path was actually exercised
+}
+
+TEST(FleetDifferential, SingleLaneBitForBitVsTraceRunnerAcrossSeeds) {
+  for (std::uint64_t seed : {101u, 202u, 303u, 404u, 505u, 606u}) {
+    expect_results_match(kSingleLane, seed);
+  }
+}
+
+TEST(FleetDifferential, SingleLaneDeliveryLogsAndCustodySetsMatch) {
+  expect_logs_and_custody_match(kSingleLane, 707);
+}
+
+TEST(FleetDifferential, BitForBitVsTraceRunnerAcrossSeeds) {
+  for (std::uint64_t seed : {11u, 22u, 33u, 44u, 55u, 66u}) {
+    expect_results_match(kFleet, seed);
+  }
+}
+
+TEST(FleetDifferential, DeliveryLogsAndCustodySetsMatch) {
+  expect_logs_and_custody_match(kFleet, 77);
 }
 
 }  // namespace

@@ -1,7 +1,8 @@
-// FleetRuntime: the deterministic loopback engine must be bit-identical to
-// the single-reactor ContactOrchestrator (and therefore to the engine
-// harness); the real-time UDP engine must complete every contact and
-// deliver end to end over real sockets.
+// FleetRuntime: the deterministic loopback engine must not depend on its
+// thread count and must refuse what it cannot replay exactly; the real-time
+// UDP engine must complete every contact and deliver end to end over real
+// sockets. Bit-identity with engine::TraceRunner is checked in
+// tests/integration/fleet_differential_test.cpp.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -11,9 +12,7 @@
 #include <vector>
 
 #include "core/df_tuning.h"
-#include "engine/trace_runner.h"
 #include "net/fleet/fleet_runtime.h"
-#include "net/orchestrator.h"
 #include "trace/synthetic.h"
 #include "util/errors.h"
 #include "workload/workload.h"
@@ -65,50 +64,6 @@ std::vector<DeliveryTuple> tuples(
   return out;
 }
 
-TEST(FleetRuntimeLoopback, BitIdenticalToOrchestrator) {
-  Scenario s(101);
-  const engine::NodeConfig node_config = node_config_for(s);
-
-  OrchestratorConfig ocfg;
-  ocfg.runtime.node = node_config;
-  ocfg.runtime.decay_tick = 0;
-  ContactOrchestrator orch(ocfg);
-  const LiveRunResults expect = orch.run(s.trace, s.workload);
-  ASSERT_GT(expect.protocol.deliveries, 0u);
-
-  FleetConfig fcfg;
-  fcfg.runtime.node = node_config;
-  fcfg.runtime.decay_tick = 0;
-  fcfg.threads = 2;
-  FleetRuntime fleet(fcfg);
-  const FleetRunResults got = fleet.run_loopback(s.trace, s.workload);
-
-  // Protocol results: integers exactly, floats bitwise (identical delivery
-  // logs summed in the same node-major order).
-  EXPECT_EQ(got.protocol.deliveries, expect.protocol.deliveries);
-  EXPECT_EQ(got.protocol.expected_deliveries,
-            expect.protocol.expected_deliveries);
-  EXPECT_EQ(got.protocol.contacts_processed,
-            expect.protocol.contacts_processed);
-  EXPECT_EQ(got.protocol.frames_delivered, expect.protocol.frames_delivered);
-  EXPECT_EQ(got.protocol.frames_dropped, expect.protocol.frames_dropped);
-  EXPECT_EQ(got.protocol.bytes_used, expect.protocol.bytes_used);
-  EXPECT_EQ(got.protocol.delivery_ratio, expect.protocol.delivery_ratio);
-  EXPECT_EQ(got.protocol.mean_delay_minutes,
-            expect.protocol.mean_delay_minutes);
-
-  // Transport tallies: the same sessions sent the same datagrams.
-  EXPECT_EQ(got.transport.datagrams_sent, expect.transport.datagrams_sent);
-  EXPECT_EQ(got.transport.datagrams_received,
-            expect.transport.datagrams_received);
-  EXPECT_EQ(got.transport.frames_sent, expect.transport.frames_sent);
-  EXPECT_EQ(got.transport.frames_received, expect.transport.frames_received);
-  EXPECT_EQ(got.transport.session_opens, expect.transport.session_opens);
-
-  // The delivery logs agree record for record.
-  EXPECT_EQ(tuples(fleet.deliveries()), tuples(orch.deliveries()));
-}
-
 TEST(FleetRuntimeLoopback, ThreadCountDoesNotChangeResults) {
   Scenario s(202);
   const engine::NodeConfig node_config = node_config_for(s);
@@ -130,8 +85,22 @@ TEST(FleetRuntimeLoopback, ThreadCountDoesNotChangeResults) {
   EXPECT_EQ(serial.protocol.bytes_used, parallel.protocol.bytes_used);
   EXPECT_EQ(serial.protocol.mean_delay_minutes,
             parallel.protocol.mean_delay_minutes);
-  EXPECT_EQ(serial.transport.datagrams_sent,
-            parallel.transport.datagrams_sent);
+
+  // Transport tallies: lanes move the same datagrams whatever the thread
+  // count, since each contact is its own virtual-time episode.
+  const metrics::TransportStats& a = serial.transport;
+  const metrics::TransportStats& b = parallel.transport;
+  EXPECT_GT(a.datagrams_sent, 0u);
+  EXPECT_EQ(a.datagrams_sent, b.datagrams_sent);
+  EXPECT_EQ(a.datagrams_received, b.datagrams_received);
+  EXPECT_EQ(a.datagrams_dropped, b.datagrams_dropped);
+  EXPECT_EQ(a.frames_sent, b.frames_sent);
+  EXPECT_EQ(a.frames_received, b.frames_received);
+  EXPECT_EQ(a.frames_retransmitted, b.frames_retransmitted);
+  EXPECT_EQ(a.frames_dropped, b.frames_dropped);
+  EXPECT_EQ(a.session_opens, b.session_opens);
+  EXPECT_EQ(a.session_timeouts, b.session_timeouts);
+  EXPECT_EQ(a.reassembly_failures, b.reassembly_failures);
 }
 
 TEST(FleetRuntimeLoopback, RejectsDecayTicksAndSecondRuns) {

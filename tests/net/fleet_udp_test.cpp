@@ -44,6 +44,33 @@ TEST(FleetUdpConfig, ValidateRejectsUnsupportedCombinations) {
   EXPECT_THROW(mtu.validate(), util::ConfigError);
 }
 
+TEST(FleetUdp, PortsPast65535AreRejected) {
+  // Ports are base_port + shard (or + node); a wrapped sum would bind an
+  // unrelated port — port 0 is an ephemeral one. Both checks fire before
+  // any socket is opened.
+  SteadyClock clock;
+  Reactor reactor(clock);
+
+  FleetUdpConfig shard_mode;
+  shard_mode.batched_io = fleet_udp_batched_available();
+  shard_mode.base_port = 65535;
+  // Shard 1 would wrap to port 0. Shard 0 refuses too: every shard
+  // addresses every shard socket.
+  EXPECT_THROW({ FleetUdpShard s(reactor, 1, 2, shard_mode); },
+               util::ConfigError);
+  EXPECT_THROW({ FleetUdpShard s(reactor, 0, 2, shard_mode); },
+               util::ConfigError);
+
+  FleetUdpConfig node_mode;
+  node_mode.per_node_sockets = true;
+  node_mode.batched_io = false;
+  node_mode.base_port = 65000;
+  FleetUdpShard shard(reactor, 0, 1, node_mode);
+  EXPECT_THROW(shard.add_node(536), util::ConfigError);  // 65536 wraps to 0
+  EXPECT_THROW(shard.add_node(999), util::ConfigError);
+  EXPECT_EQ(shard.local_nodes(), 0u);
+}
+
 struct Plane {
   SteadyClock clock;
   Reactor reactor;

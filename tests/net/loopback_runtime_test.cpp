@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -23,8 +24,8 @@ struct Mesh {
     reactor = std::make_unique<Reactor>(clock);
     hub = std::make_unique<LoopbackHub>();
     for (std::size_t n = 0; n < nodes; ++n) {
-      runtimes.push_back(std::make_unique<NodeRuntime>(
-          n, config, hub->attach(n), *reactor, counters));
+      runtimes.push_back(std::make_unique<NodeRuntime>(n, config, counters));
+      runtimes.back()->bind(hub->attach(n), *reactor);
     }
   }
 
@@ -123,6 +124,36 @@ TEST(NodeRuntime, GarbageDatagramDoesNotOpenSession) {
   mesh.hub->deliver_all();
   EXPECT_EQ(mesh.runtimes[0]->session_count(), 0u);
   EXPECT_EQ(mesh.counters.datagrams_dropped.load(), 2u);
+}
+
+TEST(NodeRuntime, BindAndConnectPreconditionsAreChecked) {
+  ManualClock clock;
+  Reactor reactor(clock);
+  LoopbackHub hub;
+  metrics::TransportCounters counters;
+  LoopbackTransport& port = hub.attach(0);
+  hub.attach(1);
+  NodeRuntime runtime(0, RuntimeConfig{}, counters);
+
+  EXPECT_FALSE(runtime.bound());
+  EXPECT_THROW(runtime.connect(1), std::logic_error);
+
+  runtime.bind(port, reactor);
+  EXPECT_THROW(runtime.bind(port, reactor), std::logic_error);
+  const std::uint32_t epoch1 = runtime.connect(1).local_epoch();
+
+  // Unbinding aborts the live session and disarms the decay tick; the node
+  // is then unusable until bound again, as a loopback lane does per contact.
+  runtime.unbind();
+  EXPECT_FALSE(runtime.bound());
+  EXPECT_EQ(runtime.session_count(), 0u);
+  EXPECT_EQ(reactor.pending_timers(), 0u);
+  EXPECT_THROW(runtime.connect(1), std::logic_error);
+
+  // Session epochs are node-lifetime: a rebound node outranks stragglers
+  // from its earlier contact.
+  runtime.bind(port, reactor);
+  EXPECT_GT(runtime.connect(1).local_epoch(), epoch1);
 }
 
 TEST(NodeRuntime, BrokerRelayPathMovesCustodyOverTransport) {

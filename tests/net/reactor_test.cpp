@@ -9,6 +9,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -349,6 +350,25 @@ TEST(Reactor, RebaseStartsAFreshVirtualEpisode) {
   reactor.schedule_after(25, [&] { fired.push_back(reactor.now()); });
   reactor.advance_to(clock, 200);
   EXPECT_EQ(fired, (std::vector<util::Time>{5010, 125}));
+}
+
+TEST(Reactor, RebaseWithPendingTimersThrows) {
+  // A timer leaked from one loopback episode must not vanish silently when
+  // the lane rewinds for the next contact.
+  ManualClock clock(1000);
+  Reactor reactor(clock);
+  bool fired = false;
+  const Reactor::TimerId leaked =
+      reactor.schedule_after(50, [&] { fired = true; });
+  clock.reset(0);
+  EXPECT_THROW(reactor.rebase(0), std::logic_error);
+
+  // The refused rebase left the timer armed; once cancelled, rebasing works.
+  EXPECT_EQ(reactor.pending_timers(), 1u);
+  EXPECT_TRUE(reactor.cancel(leaked));
+  reactor.rebase(0);
+  EXPECT_EQ(reactor.now(), 0);
+  EXPECT_FALSE(fired);
 }
 
 }  // namespace

@@ -14,6 +14,7 @@
 // `--sockets node` is the measurable baseline (one UDP socket per node);
 // it implies `--io single` unless batching is asked for explicitly, and
 // raises RLIMIT_NOFILE toward what the fleet needs.
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -164,6 +165,24 @@ bool parse_options(int argc, char** argv, Options& opts) {
     } else if (std::strcmp(arg, "--differential") == 0) {
       opts.differential = true;
     } else {
+      return false;
+    }
+  }
+  if (opts.udp) {
+    // Sockets bind base_port + shard (or base_port + node); a range past
+    // 65535 would wrap onto unrelated (or ephemeral) ports.
+    const std::uint64_t span =
+        opts.per_node_sockets ? opts.point.nodes : opts.shards;
+    const std::uint64_t last_port =
+        opts.base_port + std::max<std::uint64_t>(span, 1) - 1;
+    if (last_port > 65535) {
+      std::fprintf(stderr,
+                   "bsub_fleet: --base-port %llu leaves no room for %llu "
+                   "%s (last port %llu > 65535)\n",
+                   static_cast<unsigned long long>(opts.base_port),
+                   static_cast<unsigned long long>(span),
+                   opts.per_node_sockets ? "node sockets" : "shard sockets",
+                   static_cast<unsigned long long>(last_port));
       return false;
     }
   }
