@@ -7,21 +7,21 @@
 //      loopback replay, is bit-identical at fleet scale to
 //      engine::TraceRunner (the engine harness) — the same protocol ran,
 //      just through NodeRuntime sessions over real reactors.
-//   2. The fleet I/O plane earns its keep: epoll readiness + batched
-//      sendmmsg/recvmmsg over shard sockets must beat the naive
-//      scale-out (poll + one sendto/recvfrom syscall per datagram + one
-//      socket per node) by >= 2x contacts/s at the 10k-node point.
+//   2. The fleet I/O plane earns its keep: batched sendmmsg/recvmmsg over
+//      shard sockets must beat the naive scale-out (one sendto/recvfrom
+//      syscall per datagram + one socket per node) by >= 2x contacts/s at
+//      the 10k-node point. Every reactor uses poll(2); with shard sockets
+//      each one watches just its socket and a wake pipe.
 //
-// Full points: a 10k-node loopback differential, the four-way
-// backend x io comparison (A poll+single+node-sockets, B epoll+single+
-// node-sockets, C poll+batched+shard, D epoll+batched+shard) at 10k nodes,
-// and a dense 10k-node D point for throughput + delivery-latency
-// percentiles. `--smoke` runs the CI subset: a 256-node loopback
-// differential and a 64-node real-UDP run, same gates.
+// Full points: a 10k-node loopback differential, the I/O comparison
+// (A single-syscall + node sockets, C batched + shard sockets) at 10k
+// nodes, and a dense 10k-node C-style point for throughput +
+// delivery-latency percentiles. `--smoke` runs the CI subset: a 256-node
+// loopback differential and a 64-node real-UDP run, same gates.
 //
 // Gates (exit 1 on violation):
 //   1. every loopback point is bit-identical to the engine harness;
-//   2. D >= 2x A contacts/s (skipped where epoll or sendmmsg is missing);
+//   2. C >= 2x A contacts/s (skipped where sendmmsg is missing);
 //   3. throughput floors: shard-socket points >= 500 contacts/s, the
 //      per-node-socket baselines >= 100 (coarse pathology catches, 20-90x
 //      under observed single-core rates);
@@ -50,7 +50,6 @@ struct PointSpec {
   const char* label;
   FleetPoint point;
   bool udp = false;
-  net::ReactorBackend backend = net::ReactorBackend::kAuto;
   bool batched = false;
   bool per_node_sockets = false;
   std::uint16_t base_port = 0;
@@ -99,36 +98,26 @@ std::vector<PointSpec> full_points() {
   constexpr FleetPoint kCompare{10000, 8000, 100};
   constexpr FleetPoint kDense{10000, 80000, 500};
   return {
-      {"loopback-10k", kDense, false, net::ReactorBackend::kAuto, false,
-       false, 0, /*differential=*/true},
-      {"A-poll-single-node", kCompare, true, net::ReactorBackend::kPoll,
-       false, true, 21000},
-      {"B-epoll-single-node", kCompare, true, net::ReactorBackend::kEpoll,
-       false, true, 21000},
-      {"C-poll-batched-shard", kCompare, true, net::ReactorBackend::kPoll,
-       true, false, 47600},
-      {"D-epoll-batched-shard", kCompare, true, net::ReactorBackend::kEpoll,
-       true, false, 47600},
-      {"udp-10k-dense", kDense, true, net::ReactorBackend::kEpoll, true,
-       false, 47700},
+      {"loopback-10k", kDense, false, false, false, 0,
+       /*differential=*/true},
+      {"A-single-node", kCompare, true, false, true, 21000},
+      {"C-batched-shard", kCompare, true, true, false, 47600},
+      {"udp-10k-dense", kDense, true, true, false, 47700},
   };
 }
 
 std::vector<PointSpec> smoke_points() {
   return {
-      {"loopback-256", {256, 2048, 64}, false, net::ReactorBackend::kAuto,
-       false, false, 0, /*differential=*/true},
-      {"udp-64", {64, 1000, 50}, true, net::ReactorBackend::kAuto,
-       net::fleet_udp_batched_available(), false, 47800},
+      {"loopback-256", {256, 2048, 64}, false, false, false, 0,
+       /*differential=*/true},
+      {"udp-64", {64, 1000, 50}, true, net::fleet_udp_batched_available(),
+       false, 47800},
   };
 }
 
 /// True when this platform can run the point as specified.
 bool point_available(const PointSpec& spec) {
-  if (!spec.udp) return true;
-  if (!net::reactor_backend_available(spec.backend)) return false;
-  if (spec.batched && !net::fleet_udp_batched_available()) return false;
-  return true;
+  return !spec.batched || net::fleet_udp_batched_available();
 }
 
 PointResult run_point(const PointSpec& spec) {
@@ -136,7 +125,6 @@ PointResult run_point(const PointSpec& spec) {
   net::FleetConfig cfg = make_fleet_config(scenario, "");
   PointResult out;
   if (spec.udp) {
-    cfg.backend = spec.backend;
     cfg.shards = 2;
     cfg.udp.base_port = spec.base_port;
     cfg.udp.batched_io = spec.batched;
@@ -182,7 +170,7 @@ int main(int argc, char** argv) {
   for (std::size_t i = 0; i < points.size(); ++i) {
     const PointSpec& spec = points[i];
     if (!point_available(spec)) {
-      std::printf("%-22s | skipped (backend/batched io unavailable here)\n",
+      std::printf("%-22s | skipped (batched io unavailable here)\n",
                   spec.label);
       continue;
     }
@@ -204,10 +192,6 @@ int main(int argc, char** argv) {
         JsonObject()
             .field("label", std::string(spec.label))
             .field("mode", std::string(spec.udp ? "udp" : "loopback"))
-            .field("backend",
-                   spec.udp ? std::string(net::reactor_backend_name(
-                                  spec.backend))
-                            : std::string("n/a"))
             .field("io", std::string(!spec.udp      ? "n/a"
                                      : spec.batched ? "batched"
                                                     : "single"))
@@ -249,14 +233,14 @@ int main(int argc, char** argv) {
     if (!results[i].differential_ok) all_ok = false;
   }
 
-  // Gate 2: the fleet I/O plane (D) vs the naive scale-out (A).
+  // Gate 2: the fleet I/O plane (C) vs the naive scale-out (A).
   {
     const PointResult* naive = nullptr;
     const PointResult* fleet = nullptr;
     for (std::size_t i = 0; i < points.size(); ++i) {
       if (!ran[i]) continue;
       if (std::strncmp(points[i].label, "A-", 2) == 0) naive = &results[i];
-      if (std::strncmp(points[i].label, "D-", 2) == 0) fleet = &results[i];
+      if (std::strncmp(points[i].label, "C-", 2) == 0) fleet = &results[i];
     }
     if (naive != nullptr && fleet != nullptr) {
       const double speedup =
@@ -264,13 +248,13 @@ int main(int argc, char** argv) {
               ? fleet->contacts_per_second / naive->contacts_per_second
               : 0.0;
       const bool ok = speedup >= kSpeedupFloor;
-      std::printf("speedup D/A: %.0f / %.0f contacts/s = %.2fx (floor "
+      std::printf("speedup C/A: %.0f / %.0f contacts/s = %.2fx (floor "
                   "%.1fx): %s\n",
                   fleet->contacts_per_second, naive->contacts_per_second,
                   speedup, kSpeedupFloor, ok ? "OK" : "VIOLATION");
       if (!ok) all_ok = false;
     } else if (!smoke) {
-      std::printf("speedup D/A: not judged (a comparison point is "
+      std::printf("speedup C/A: not judged (a comparison point is "
                   "unavailable on this platform)\n");
     }
   }

@@ -170,11 +170,10 @@ int main(int argc, char** argv) {
   }
 
   std::vector<kernels::Kind> backends;
-  for (kernels::Kind k : {kernels::Kind::kScalar, kernels::Kind::kBlocked,
-                          kernels::Kind::kAvx2, kernels::Kind::kNeon}) {
+  for (kernels::Kind k :
+       {kernels::Kind::kScalar, kernels::Kind::kAvx2, kernels::Kind::kNeon}) {
     if (kernels::available(k)) backends.push_back(k);
   }
-  if (smoke && backends.size() > 2) backends.resize(2);
 
   const std::vector<Scene> scenes =
       smoke ? std::vector<Scene>{Scene::kHaggle}

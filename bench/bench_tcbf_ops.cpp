@@ -5,7 +5,7 @@
 // Besides the google-benchmark cases, main() runs a before/after comparison
 // against `DenseTcbf` — a seed-faithful reference with eager O(m) decay,
 // dense O(m) merges, and per-query string hashing — once per available
-// kernel backend (scalar, blocked, avx2/neon), at m in {1024, 8192, 65536},
+// kernel backend (scalar, avx2/neon), at m in {1024, 8192, 65536},
 // and records ns-per-op for decay/merge/query to BENCH_tcbf_ops.json. It
 // exits non-zero if a pinned performance floor regresses (see
 // check_regressions below).
@@ -467,8 +467,7 @@ int main(int argc, char** argv) {
   std::vector<OpTiming> timings;
   kernels::Kind best = kernels::Kind::kScalar;
   for (kernels::Kind kind :
-       {kernels::Kind::kScalar, kernels::Kind::kBlocked, kernels::Kind::kAvx2,
-        kernels::Kind::kNeon}) {
+       {kernels::Kind::kScalar, kernels::Kind::kAvx2, kernels::Kind::kNeon}) {
     if (!kernels::available(kind)) continue;
     run_comparison(kind, timings);
     best = kind;  // iteration order matches dispatch preference (widest last)

@@ -3,22 +3,16 @@
 // Resolution order:
 //   1. -DBSUB_FORCE_SCALAR builds hardwire the portable scalar kernel (the
 //      other backends are not even registered).
-//   2. The BSUB_KERNEL environment variable names a backend (scalar |
-//      blocked | avx2 | neon); an unavailable or unknown name is reported
-//      to stderr once and default dispatch proceeds ("auto" skips straight
-//      there).
-//   3. Default: the widest backend this build and this CPU support —
+//   2. Otherwise the widest backend this build and this CPU support —
 //      AVX2 (runtime CPUID check) > NEON (architectural on aarch64) >
-//      blocked > scalar.
+//      scalar.
 //
-// force_kernel() replaces the cached choice afterwards (startup flags and
-// the differential tests use it); it is not safe against concurrently
-// running filter operations, which is fine for its two callers.
+// force_kernel() replaces the cached choice afterwards (the differential
+// tests and the kernel benches use it); it is not safe against concurrently
+// running filter operations, which is fine for those callers.
 #include "bloom/kernels.h"
 
 #include <atomic>
-#include <cstdio>
-#include <cstdlib>
 
 namespace bsub::bloom::kernels {
 
@@ -34,15 +28,13 @@ bool cpu_has_avx2() {
 }
 #endif
 
-/// Backend lookup without the env override: nullptr when the kind is not
-/// compiled in or the CPU lacks the ISA.
+/// Backend lookup: nullptr when the kind is not compiled in or the CPU
+/// lacks the ISA.
 const Ops* lookup(Kind kind) {
   switch (kind) {
     case Kind::kScalar:
       return &scalar_ops();
 #if !defined(BSUB_FORCE_SCALAR)
-    case Kind::kBlocked:
-      return &blocked_ops();
 #if defined(BSUB_HAVE_AVX2_KERNEL)
     case Kind::kAvx2:
       return cpu_has_avx2() ? &avx2_ops() : nullptr;
@@ -58,25 +50,7 @@ const Ops* lookup(Kind kind) {
 }
 
 const Ops& detect() {
-  if (const char* env = std::getenv("BSUB_KERNEL");
-      env != nullptr && *env != '\0') {
-    const std::string_view name(env);
-    if (name != "auto") {
-      if (const std::optional<Kind> kind = parse_kind(name); kind) {
-        if (const Ops* ops = lookup(*kind); ops != nullptr) return *ops;
-        std::fprintf(stderr,
-                     "bsub: BSUB_KERNEL=%s is unavailable in this build/CPU; "
-                     "using default kernel dispatch\n",
-                     env);
-      } else {
-        std::fprintf(stderr,
-                     "bsub: unknown BSUB_KERNEL=%s (want scalar | blocked | "
-                     "avx2 | neon | auto); using default kernel dispatch\n",
-                     env);
-      }
-    }
-  }
-  for (Kind kind : {Kind::kAvx2, Kind::kNeon, Kind::kBlocked}) {
+  for (Kind kind : {Kind::kAvx2, Kind::kNeon}) {
     if (const Ops* ops = lookup(kind); ops != nullptr) return *ops;
   }
   return scalar_ops();
@@ -115,22 +89,12 @@ std::string_view kind_name(Kind kind) {
   switch (kind) {
     case Kind::kScalar:
       return "scalar";
-    case Kind::kBlocked:
-      return "blocked";
     case Kind::kAvx2:
       return "avx2";
     case Kind::kNeon:
       return "neon";
   }
   return "?";
-}
-
-std::optional<Kind> parse_kind(std::string_view name) {
-  if (name == "scalar") return Kind::kScalar;
-  if (name == "blocked") return Kind::kBlocked;
-  if (name == "avx2") return Kind::kAvx2;
-  if (name == "neon") return Kind::kNeon;
-  return std::nullopt;
 }
 
 }  // namespace bsub::bloom::kernels

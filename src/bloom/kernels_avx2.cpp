@@ -1,9 +1,10 @@
 // AVX2 TCBF kernel (x86-64; this TU is compiled with -mavx2 and only ever
 // entered after runtime CPUID dispatch confirms the ISA).
 //
-// Same blocked structure as kernels_blocked.cpp — occupancy word, then
-// 8-slot / 64-byte counter block — with each block processed as two 256-bit
-// lanes. Arithmetic is element-wise IEEE add/sub/min/max with no
+// Cache-line blocked: walks the occupancy bitmap one 64-slot word at a
+// time, skips empty words with one compare, and processes each non-zero
+// occupancy byte's 8-slot / 64-byte counter block as two 256-bit lanes, so
+// a sparse merge touches only the cache lines that hold counters. Arithmetic is element-wise IEEE add/sub/min/max with no
 // reassociation and no FMA, so every result is bit-identical to the scalar
 // reference:
 //   effective(v)  = and(sub(v, base), cmp_gt(v, base))   [exact 0.0 when dead]

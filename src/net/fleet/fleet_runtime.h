@@ -73,7 +73,6 @@ struct FleetConfig {
   std::size_t min_batch_fanout = 4;
 
   // --- run_udp() knobs ---
-  ReactorBackend backend = ReactorBackend::kAuto;
   /// Reactor threads / sockets-in-shard-mode. Nodes home at node % shards.
   std::size_t shards = 1;
   FleetUdpConfig udp;

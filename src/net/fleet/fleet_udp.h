@@ -1,18 +1,22 @@
 // Fleet UDP data plane: many node endpoints multiplexed over few sockets,
 // with batched syscalls.
 //
-// One UdpTransport per node (PR 5) costs one socket, one pollfd slot and
-// one recvfrom per datagram per node — fine for a daemon, ruinous for 10k
-// in-process nodes. The fleet plane changes both axes:
+// One UdpTransport per node (what the bsub_node daemon uses) costs one
+// socket, one pollfd slot and one recvfrom per datagram per node — fine for
+// a daemon, ruinous for 10k in-process nodes. The fleet plane changes both
+// axes:
 //
 //   sockets   In `shard` mode every reactor thread owns ONE socket
 //             (127.0.0.1, base_port + shard). Node addressing moves into a
 //             10-byte mux header (magic 0xF5, version, src node, dst node)
 //             prepended to each session datagram; a node's home shard is
 //             node % shard_count, so any sender can compute any
-//             destination's socket address. `node` mode (one socket per
-//             node, port base_port + node) is kept as the measurable
-//             baseline — it is what the naive scale-out of PR 5 would do.
+//             destination's socket address. A shard reactor therefore
+//             polls two fds (its socket and the fleet's wake pipe) however
+//             many nodes it hosts, which is why plain poll(2) suffices.
+//             `node` mode (one socket per node, port base_port + node) is
+//             kept as the measurable baseline — the naive scale-out of
+//             one daemon socket per node.
 //
 //   syscalls  In `batched` mode sends are queued per shard and flushed
 //             with sendmmsg() in bursts, and the readable upcall drains

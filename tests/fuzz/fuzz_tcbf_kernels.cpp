@@ -1,6 +1,6 @@
 // Fuzz target for the TCBF kernel layer (bloom/kernels.h): differential
 // execution of the scalar reference against every other runnable backend
-// (blocked, avx2, neon) on the same fuzzer-chosen op schedule.
+// (avx2, neon) on the same fuzzer-chosen op schedule.
 //
 // The input is a little op program over two filters, b (merge destination)
 // and f (peer filter):
@@ -154,8 +154,7 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
   }
   const std::vector<std::uint64_t> reference = run_program(data, size);
 
-  for (kernels::Kind kind :
-       {kernels::Kind::kBlocked, kernels::Kind::kAvx2, kernels::Kind::kNeon}) {
+  for (kernels::Kind kind : {kernels::Kind::kAvx2, kernels::Kind::kNeon}) {
     if (!kernels::available(kind)) continue;
     kernels::force_kernel(kind);
     if (run_program(data, size) != reference) {

@@ -76,9 +76,7 @@ struct Plane {
   Reactor reactor;
   std::vector<std::unique_ptr<FleetUdpShard>> shards;
 
-  Plane(std::size_t shard_count, FleetUdpConfig config,
-        ReactorBackend backend = ReactorBackend::kAuto)
-      : reactor(clock, backend) {
+  Plane(std::size_t shard_count, FleetUdpConfig config) : reactor(clock) {
     for (std::size_t s = 0; s < shard_count; ++s) {
       shards.push_back(
           std::make_unique<FleetUdpShard>(reactor, s, shard_count, config));

@@ -7,23 +7,22 @@
 //   # engine harness
 //   bsub_fleet --nodes 1000 --contacts 8000 --threads 2 --differential
 //
-//   # real time over batched shard sockets on the epoll backend
+//   # real time over batched shard sockets
 //   bsub_fleet --mode udp --nodes 256 --contacts 2000 --shards 2 \
-//              --backend epoll --io batched --sockets shard
+//              --io batched --sockets shard
 //
 // `--sockets node` is the measurable baseline (one UDP socket per node);
 // it implies `--io single` unless batching is asked for explicitly, and
 // raises RLIMIT_NOFILE toward what the fleet needs.
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 
 #include "bloom/kernels.h"
+#include "cli_parse.h"
 #include "fleet_common.h"
 #include "net/fleet/fleet_runtime.h"
-#include "net/reactor.h"
 #include "resource_stats.h"
 #include "tool_listing.h"
 #include "util/errors.h"
@@ -47,13 +46,11 @@ int usage(const char* argv0) {
       "  --threads T            loopback reactor threads (0 = auto)\n"
       "  --shards K             udp reactor threads / shard sockets "
       "(default 2)\n"
-      "  --backend auto|poll|epoll  readiness backend (udp mode)\n"
       "  --io batched|single    sendmmsg/recvmmsg vs sendto/recvfrom\n"
       "  --sockets shard|node   one socket per shard or per node\n"
       "  --base-port P          first UDP port (default 47000)\n"
       "  --protocol SPEC        B-SUB spec, e.g. bsub:df=0.5,copies=5\n"
       "                         (default: DF tuned from the trace)\n"
-      "  --kernel NAME          TCBF kernel: scalar|blocked|avx2|neon|auto\n"
       "  --differential         loopback only: also run the engine harness\n"
       "                         and require bit-identical results\n"
       "  --list-protocols       print the protocol registry and exit\n"
@@ -68,23 +65,13 @@ struct Options {
   bool udp = false;
   std::uint64_t threads = 0;
   std::uint64_t shards = 2;
-  net::ReactorBackend backend = net::ReactorBackend::kAuto;
   bool batched_io = false;
   bool io_explicit = false;
   bool per_node_sockets = false;
   std::uint64_t base_port = 47000;
   std::string protocol;
-  std::string kernel;
   bool differential = false;
 };
-
-bool parse_u64(const char* s, std::uint64_t& out) {
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(s, &end, 10);
-  if (end == s || *end != '\0') return false;
-  out = v;
-  return true;
-}
 
 bool parse_options(int argc, char** argv, Options& opts) {
   for (int i = 1; i < argc; ++i) {
@@ -94,7 +81,7 @@ bool parse_options(int argc, char** argv, Options& opts) {
     };
     auto next_u64 = [&](std::uint64_t& out) {
       const char* v = next();
-      return v != nullptr && parse_u64(v, out);
+      return v != nullptr && tools::parse_u64(v, out);
     };
     std::uint64_t v = 0;
     if (std::strcmp(arg, "--nodes") == 0) {
@@ -122,12 +109,6 @@ bool parse_options(int argc, char** argv, Options& opts) {
       if (!next_u64(opts.threads)) return false;
     } else if (std::strcmp(arg, "--shards") == 0) {
       if (!next_u64(opts.shards) || opts.shards == 0) return false;
-    } else if (std::strcmp(arg, "--backend") == 0) {
-      const char* b = next();
-      if (!b) return false;
-      const auto parsed = net::parse_reactor_backend(b);
-      if (!parsed) return false;
-      opts.backend = *parsed;
     } else if (std::strcmp(arg, "--io") == 0) {
       const char* m = next();
       if (!m) return false;
@@ -158,10 +139,6 @@ bool parse_options(int argc, char** argv, Options& opts) {
       const char* p = next();
       if (!p) return false;
       opts.protocol = p;
-    } else if (std::strcmp(arg, "--kernel") == 0) {
-      const char* k = next();
-      if (!k) return false;
-      opts.kernel = k;
     } else if (std::strcmp(arg, "--differential") == 0) {
       opts.differential = true;
     } else {
@@ -220,21 +197,6 @@ int main(int argc, char** argv) {
   }
 
   namespace kernels = bsub::bloom::kernels;
-  if (!opts.kernel.empty() && opts.kernel != "auto") {
-    const auto kind = kernels::parse_kind(opts.kernel);
-    if (!kind) {
-      std::fprintf(stderr, "bsub_fleet: unknown --kernel %s\n",
-                   opts.kernel.c_str());
-      return usage(argv[0]);
-    }
-    if (!kernels::force_kernel(*kind)) {
-      std::fprintf(stderr,
-                   "bsub_fleet: --kernel %s is unavailable in this build/"
-                   "CPU\n",
-                   opts.kernel.c_str());
-      return 1;
-    }
-  }
 
   try {
     std::printf("fleet scenario: %zu nodes, %zu contacts, %zu messages, "
@@ -252,7 +214,6 @@ int main(int argc, char** argv) {
 
     net::FleetRunResults r;
     if (opts.udp) {
-      cfg.backend = opts.backend;
       cfg.shards = static_cast<std::size_t>(opts.shards);
       cfg.udp.base_port = static_cast<std::uint16_t>(opts.base_port);
       cfg.udp.batched_io = opts.batched_io;
@@ -261,10 +222,9 @@ int main(int argc, char** argv) {
       if (opts.per_node_sockets) {
         raise_fd_limit(opts.point.nodes + 4 * opts.shards + 64);
       }
-      std::printf("engine:         udp real-time, %zu shard(s), backend %s, "
+      std::printf("engine:         udp real-time, %zu shard(s), "
                   "io %s, sockets %s\n",
                   cfg.shards,
-                  std::string(net::reactor_backend_name(cfg.backend)).c_str(),
                   cfg.udp.batched_io ? "batched" : "single",
                   cfg.udp.per_node_sockets ? "node" : "shard");
       net::FleetRuntime fleet(cfg);

@@ -19,10 +19,12 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <vector>
 
 #include "bloom/kernels.h"
+#include "cli_parse.h"
 #include "core/protocol_registry.h"
 #include "engine/node.h"
 #include "metrics/collector.h"
@@ -50,7 +52,6 @@ struct Options {
   bsub::util::Time ttl = bsub::util::kHour;
   bsub::util::Time duration = 0;  ///< 0 = run until SIGINT
   bsub::util::Time decay_tick = bsub::util::kMinute;
-  std::string kernel;    ///< TCBF kernel backend override (empty = auto)
   std::string protocol;  ///< protocol spec (empty = default B-SUB config)
 };
 
@@ -67,9 +68,6 @@ int usage(const char* argv0) {
       "  --ttl-ms N             published-message TTL (default 1h)\n"
       "  --duration-ms N        exit after N ms (default: run until SIGINT)\n"
       "  --decay-tick-ms N      TCBF decay tick period (default 1min)\n"
-      "  --kernel NAME          TCBF kernel backend: scalar | blocked | avx2\n"
-      "                         | neon | auto (default: auto dispatch; also\n"
-      "                         settable via the BSUB_KERNEL env variable)\n"
       "  --protocol SPEC        protocol spec, e.g. bsub:df=0.5,copies=5\n"
       "                         (a live node runs only B-SUB; parameters\n"
       "                         configure it — see core::bsub_config_from_"
@@ -85,12 +83,22 @@ bool parse_options(int argc, char** argv, Options& opts) {
     if (i + 1 >= argc) return nullptr;
     return argv[++i];
   };
+  // Millisecond flags: non-negative and within util::Time.
+  auto need_ms = [&](int& i, bsub::util::Time& out) {
+    const char* v = need_value(i);
+    std::uint64_t ms = 0;
+    if (!v || !bsub::tools::parse_u64(
+                  v, ms, std::numeric_limits<bsub::util::Time>::max())) {
+      return false;
+    }
+    out = static_cast<bsub::util::Time>(ms);
+    return true;
+  };
   for (int i = 1; i < argc; ++i) {
     const std::string flag = argv[i];
     if (flag == "--id") {
       const char* v = need_value(i);
-      if (!v) return false;
-      opts.id = std::strtoull(v, nullptr, 10);
+      if (!v || !bsub::tools::parse_u64(v, opts.id)) return false;
     } else if (flag == "--bind") {
       const char* v = need_value(i);
       if (!v || !bsub::net::parse_udp_endpoint(v, opts.bind)) return false;
@@ -113,21 +121,11 @@ bool parse_options(int argc, char** argv, Options& opts) {
     } else if (flag == "--broker") {
       opts.broker = true;
     } else if (flag == "--ttl-ms") {
-      const char* v = need_value(i);
-      if (!v) return false;
-      opts.ttl = std::strtoll(v, nullptr, 10);
+      if (!need_ms(i, opts.ttl)) return false;
     } else if (flag == "--duration-ms") {
-      const char* v = need_value(i);
-      if (!v) return false;
-      opts.duration = std::strtoll(v, nullptr, 10);
+      if (!need_ms(i, opts.duration)) return false;
     } else if (flag == "--decay-tick-ms") {
-      const char* v = need_value(i);
-      if (!v) return false;
-      opts.decay_tick = std::strtoll(v, nullptr, 10);
-    } else if (flag == "--kernel") {
-      const char* v = need_value(i);
-      if (!v) return false;
-      opts.kernel = v;
+      if (!need_ms(i, opts.decay_tick)) return false;
     } else if (flag == "--protocol") {
       const char* v = need_value(i);
       if (!v) return false;
@@ -155,20 +153,6 @@ int main(int argc, char** argv) {
   if (!parse_options(argc, argv, opts)) return usage(argv[0]);
 
   namespace kernels = bsub::bloom::kernels;
-  if (!opts.kernel.empty() && opts.kernel != "auto") {
-    const auto kind = kernels::parse_kind(opts.kernel);
-    if (!kind) {
-      std::fprintf(stderr, "bsub_node: unknown --kernel %s\n",
-                   opts.kernel.c_str());
-      return usage(argv[0]);
-    }
-    if (!kernels::force_kernel(*kind)) {
-      std::fprintf(stderr,
-                   "bsub_node: --kernel %s is unavailable in this build/CPU\n",
-                   opts.kernel.c_str());
-      return 1;
-    }
-  }
   std::fprintf(stderr, "bsub_node: TCBF kernel backend: %s\n",
                std::string(kernels::kind_name(kernels::active_kind()))
                    .c_str());

@@ -12,6 +12,7 @@
 #include <cstring>
 #include <string>
 
+#include "cli_parse.h"
 #include "scale_common.h"
 #include "tool_listing.h"
 
@@ -25,14 +26,6 @@ void usage(const char* argv0) {
                "  SPEC selects the routing protocol, e.g. PUSH, PULL,\n"
                "  spray:copies=8, bsub:df=0.25 (default %s)\n",
                argv0, bsub::bench::kScaleDefaultProtocol);
-}
-
-bool parse_u64(const char* s, std::uint64_t& out) {
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(s, &end, 10);
-  if (end == s || *end != '\0') return false;
-  out = v;
-  return true;
 }
 
 }  // namespace
@@ -59,7 +52,7 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
     auto next_u64 = [&](std::uint64_t& out) {
-      if (i + 1 >= argc || !parse_u64(argv[++i], out)) {
+      if (i + 1 >= argc || !tools::parse_u64(argv[++i], out)) {
         usage(argv[0]);
         std::exit(2);
       }

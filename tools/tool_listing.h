@@ -32,8 +32,7 @@ inline int list_kernels() {
   namespace kernels = bloom::kernels;
   const kernels::Kind active = kernels::active_kind();
   for (kernels::Kind kind :
-       {kernels::Kind::kScalar, kernels::Kind::kBlocked, kernels::Kind::kAvx2,
-        kernels::Kind::kNeon}) {
+       {kernels::Kind::kScalar, kernels::Kind::kAvx2, kernels::Kind::kNeon}) {
     std::printf("%-8s %s%s\n",
                 std::string(kernels::kind_name(kind)).c_str(),
                 kernels::available(kind) ? "available" : "unavailable",
