@@ -16,16 +16,21 @@
 // Full points: a 10k-node loopback differential, the I/O comparison
 // (A single-syscall + node sockets, C batched + shard sockets) at 10k
 // nodes, and a dense 10k-node C-style point for throughput +
-// delivery-latency percentiles. `--smoke` runs the CI subset: a 256-node
-// loopback differential and a 64-node real-UDP run, same gates.
+// delivery-latency percentiles. A and C are short (a fraction of a
+// second), so each runs kCompareRepeats times, as alternating pairs (A C,
+// C A, ...) so host drift hits both alike; every sample is printed and
+// written. `--smoke` runs the CI subset: a 256-node loopback differential
+// and a 64-node real-UDP run, same gates.
 //
 // Gates (exit 1 on violation):
 //   1. every loopback point is bit-identical to the engine harness;
-//   2. C >= 2x A contacts/s (skipped where sendmmsg is missing);
+//   2. median C >= 2x median A contacts/s (skipped where sendmmsg is
+//      missing);
 //   3. throughput floors: shard-socket points >= 500 contacts/s, the
 //      per-node-socket baselines >= 100 (coarse pathology catches, 20-90x
 //      under observed single-core rates);
-//   4. every issued contact completes, with <= 1% hard timeouts.
+//   4. every issued contact completes, with <= 1% hard timeouts (3 and 4
+//      hold for every sample).
 #include "fleet_common.h"
 
 #include <cstring>
@@ -35,6 +40,7 @@
 #include "experiment_common.h"
 #include "fork_util.h"
 #include "resource_stats.h"
+#include "util/stats.h"
 
 namespace {
 
@@ -42,6 +48,7 @@ using namespace bsub;
 using namespace bsub::bench;
 
 constexpr double kSpeedupFloor = 2.0;
+constexpr std::size_t kCompareRepeats = 5;  // samples of each of A and C
 constexpr double kShardThroughputFloor = 500.0;    // contacts/s
 constexpr double kPerNodeThroughputFloor = 100.0;  // contacts/s
 constexpr double kTimeoutCeiling = 0.01;           // of issued contacts
@@ -115,6 +122,40 @@ std::vector<PointSpec> smoke_points() {
   };
 }
 
+bool is_label(const PointSpec& spec, const char* prefix) {
+  return std::strncmp(spec.label, prefix, std::strlen(prefix)) == 0;
+}
+
+/// Run order: every point once in list order, except that the A/C
+/// comparison points run kCompareRepeats times each, as alternating pairs.
+std::vector<std::size_t> run_order(const std::vector<PointSpec>& points) {
+  std::size_t a = points.size();
+  std::size_t c = points.size();
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    if (is_label(points[i], "A-")) a = i;
+    if (is_label(points[i], "C-")) c = i;
+  }
+  std::vector<std::size_t> order;
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    if (i != a && i != c) {
+      order.push_back(i);
+    } else if (i == std::min(a, c)) {
+      for (std::size_t r = 0; r < kCompareRepeats; ++r) {
+        order.push_back(r % 2 == 0 ? a : c);
+        order.push_back(r % 2 == 0 ? c : a);
+      }
+    }
+  }
+  return order;
+}
+
+/// Median contacts/s over a point's samples (0 when it never ran).
+double median_rate(const std::vector<PointResult>& samples) {
+  util::PercentileTracker rates;
+  for (const PointResult& p : samples) rates.add(p.contacts_per_second);
+  return rates.empty() ? 0.0 : rates.median();
+}
+
 /// True when this platform can run the point as specified.
 bool point_available(const PointSpec& spec) {
   return !spec.batched || net::fleet_udp_batched_available();
@@ -163,95 +204,113 @@ int main(int argc, char** argv) {
               "nodes", "contacts", "seconds", "contacts/sec", "delivered",
               "p99 ms", "RSS MiB");
 
-  std::vector<PointResult> results(points.size());
-  std::vector<bool> ran(points.size(), false);
-  std::vector<std::string> json_points;
-  bool all_ok = true;
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    const PointSpec& spec = points[i];
+  for (const PointSpec& spec : points) {
     if (!point_available(spec)) {
       std::printf("%-22s | skipped (batched io unavailable here)\n",
                   spec.label);
-      continue;
     }
-    if (!run_isolated([&] { return run_point(spec); }, results[i])) {
+  }
+  // samples[i]: every run of point i, in run order.
+  std::vector<std::vector<PointResult>> samples(points.size());
+  bool all_ok = true;
+  for (const std::size_t i : run_order(points)) {
+    const PointSpec& spec = points[i];
+    if (!point_available(spec)) continue;
+    PointResult p;
+    if (!run_isolated([&] { return run_point(spec); }, p)) {
       std::fprintf(stderr, "point %s FAILED to run\n", spec.label);
       all_ok = false;
       continue;
     }
-    ran[i] = true;
-    const PointResult& p = results[i];
+    samples[i].push_back(p);
+    const std::string name =
+        std::string(spec.label) + " #" + std::to_string(samples[i].size());
     std::printf("%-22s | %7zu | %8zu | %8.2f | %12.0f | %9llu | %8.1f | "
                 "%8.1f\n",
-                spec.label, spec.point.nodes, spec.point.contacts,
+                name.c_str(), spec.point.nodes, spec.point.contacts,
                 p.wall_seconds, p.contacts_per_second,
                 static_cast<unsigned long long>(p.protocol.deliveries),
                 p.p99_delivery_latency_ms,
                 static_cast<double>(p.peak_rss_bytes) / (1 << 20));
-    json_points.push_back(
-        JsonObject()
-            .field("label", std::string(spec.label))
-            .field("mode", std::string(spec.udp ? "udp" : "loopback"))
-            .field("io", std::string(!spec.udp      ? "n/a"
-                                     : spec.batched ? "batched"
-                                                    : "single"))
-            .field("sockets",
-                   std::string(!spec.udp               ? "n/a"
-                               : spec.per_node_sockets ? "node"
-                                                       : "shard"))
-            .field("nodes", static_cast<std::uint64_t>(spec.point.nodes))
-            .field("contacts", static_cast<std::uint64_t>(spec.point.contacts))
-            .field("messages", static_cast<std::uint64_t>(spec.point.messages))
-            .field("reactor_threads",
-                   static_cast<std::uint64_t>(p.reactor_threads))
-            .field("seconds", p.wall_seconds)
-            .field("contacts_per_sec", p.contacts_per_second)
-            .field("deliveries_per_sec", p.deliveries_per_second)
-            .field("deliveries", p.protocol.deliveries)
-            .field("expected_deliveries", p.protocol.expected_deliveries)
-            .field("p50_delivery_latency_ms", p.p50_delivery_latency_ms)
-            .field("p99_delivery_latency_ms", p.p99_delivery_latency_ms)
-            .field("contacts_timed_out", p.contacts_timed_out)
-            .field("send_syscalls", p.send_syscalls)
-            .field("recv_syscalls", p.recv_syscalls)
-            .field("datagrams_out", p.datagrams_out)
-            .field("sendq_drops", p.sendq_drops)
-            .field("unroutable_drops", p.unroutable_drops)
-            .field("peak_rss_bytes", p.peak_rss_bytes)
-            .field("differential",
-                   std::string(!spec.differential     ? "n/a"
-                               : p.differential_ok    ? "pass"
-                                                      : "FAIL"))
-            .str());
+  }
+
+  std::vector<std::string> json_points;
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    const PointSpec& spec = points[i];
+    const double median = median_rate(samples[i]);
+    for (std::size_t k = 0; k < samples[i].size(); ++k) {
+      const PointResult& p = samples[i][k];
+      json_points.push_back(
+          JsonObject()
+              .field("label", std::string(spec.label))
+              .field("sample", static_cast<std::uint64_t>(k))
+              .field("mode", std::string(spec.udp ? "udp" : "loopback"))
+              .field("io", std::string(!spec.udp      ? "n/a"
+                                       : spec.batched ? "batched"
+                                                      : "single"))
+              .field("sockets",
+                     std::string(!spec.udp               ? "n/a"
+                                 : spec.per_node_sockets ? "node"
+                                                         : "shard"))
+              .field("nodes", static_cast<std::uint64_t>(spec.point.nodes))
+              .field("contacts",
+                     static_cast<std::uint64_t>(spec.point.contacts))
+              .field("messages",
+                     static_cast<std::uint64_t>(spec.point.messages))
+              .field("reactor_threads",
+                     static_cast<std::uint64_t>(p.reactor_threads))
+              .field("seconds", p.wall_seconds)
+              .field("contacts_per_sec", p.contacts_per_second)
+              .field("median_contacts_per_sec", median)
+              .field("deliveries_per_sec", p.deliveries_per_second)
+              .field("deliveries", p.protocol.deliveries)
+              .field("expected_deliveries", p.protocol.expected_deliveries)
+              .field("p50_delivery_latency_ms", p.p50_delivery_latency_ms)
+              .field("p99_delivery_latency_ms", p.p99_delivery_latency_ms)
+              .field("contacts_timed_out", p.contacts_timed_out)
+              .field("send_syscalls", p.send_syscalls)
+              .field("recv_syscalls", p.recv_syscalls)
+              .field("datagrams_out", p.datagrams_out)
+              .field("sendq_drops", p.sendq_drops)
+              .field("unroutable_drops", p.unroutable_drops)
+              .field("peak_rss_bytes", p.peak_rss_bytes)
+              .field("differential",
+                     std::string(!spec.differential  ? "n/a"
+                                 : p.differential_ok ? "pass"
+                                                     : "FAIL"))
+              .str());
+    }
   }
 
   // Gate 1: every loopback point is bit-identical to the engine harness.
   for (std::size_t i = 0; i < points.size(); ++i) {
-    if (!ran[i] || !points[i].differential) continue;
-    std::printf("differential @ %s: %s\n", points[i].label,
-                results[i].differential_ok ? "bit-identical" : "MISMATCH");
-    if (!results[i].differential_ok) all_ok = false;
+    if (!points[i].differential) continue;
+    for (const PointResult& p : samples[i]) {
+      std::printf("differential @ %s: %s\n", points[i].label,
+                  p.differential_ok ? "bit-identical" : "MISMATCH");
+      if (!p.differential_ok) all_ok = false;
+    }
   }
 
-  // Gate 2: the fleet I/O plane (C) vs the naive scale-out (A).
+  // Gate 2: the fleet I/O plane (C) vs the naive scale-out (A), on the
+  // median of each point's samples.
   {
-    const PointResult* naive = nullptr;
-    const PointResult* fleet = nullptr;
+    const std::vector<PointResult>* naive = nullptr;
+    const std::vector<PointResult>* fleet = nullptr;
     for (std::size_t i = 0; i < points.size(); ++i) {
-      if (!ran[i]) continue;
-      if (std::strncmp(points[i].label, "A-", 2) == 0) naive = &results[i];
-      if (std::strncmp(points[i].label, "C-", 2) == 0) fleet = &results[i];
+      if (samples[i].empty()) continue;
+      if (is_label(points[i], "A-")) naive = &samples[i];
+      if (is_label(points[i], "C-")) fleet = &samples[i];
     }
     if (naive != nullptr && fleet != nullptr) {
-      const double speedup =
-          naive->contacts_per_second > 0.0
-              ? fleet->contacts_per_second / naive->contacts_per_second
-              : 0.0;
+      const double a = median_rate(*naive);
+      const double c = median_rate(*fleet);
+      const double speedup = a > 0.0 ? c / a : 0.0;
       const bool ok = speedup >= kSpeedupFloor;
-      std::printf("speedup C/A: %.0f / %.0f contacts/s = %.2fx (floor "
-                  "%.1fx): %s\n",
-                  fleet->contacts_per_second, naive->contacts_per_second,
-                  speedup, kSpeedupFloor, ok ? "OK" : "VIOLATION");
+      std::printf("speedup C/A (median of %zu / %zu samples): %.0f / %.0f "
+                  "contacts/s = %.2fx (floor %.1fx): %s\n",
+                  fleet->size(), naive->size(), c, a, speedup, kSpeedupFloor,
+                  ok ? "OK" : "VIOLATION");
       if (!ok) all_ok = false;
     } else if (!smoke) {
       std::printf("speedup C/A: not judged (a comparison point is "
@@ -261,32 +320,34 @@ int main(int argc, char** argv) {
 
   // Gates 3 + 4: throughput floors; every contact completes, few time out.
   for (std::size_t i = 0; i < points.size(); ++i) {
-    if (!ran[i] || !points[i].udp) continue;
+    if (!points[i].udp) continue;
     const PointSpec& spec = points[i];
-    const PointResult& p = results[i];
     const double floor = spec.per_node_sockets ? kPerNodeThroughputFloor
                                                : kShardThroughputFloor;
-    if (p.contacts_per_second < floor) {
-      std::fprintf(stderr,
-                   "throughput floor violation @ %s: %.0f contacts/s "
-                   "(floor %.0f)\n",
-                   spec.label, p.contacts_per_second, floor);
-      all_ok = false;
-    }
-    if (p.protocol.contacts_processed != spec.point.contacts) {
-      std::fprintf(stderr, "lost contacts @ %s: %llu of %zu completed\n",
-                   spec.label,
-                   static_cast<unsigned long long>(
-                       p.protocol.contacts_processed),
-                   spec.point.contacts);
-      all_ok = false;
-    }
-    if (static_cast<double>(p.contacts_timed_out) >
-        kTimeoutCeiling * static_cast<double>(spec.point.contacts)) {
-      std::fprintf(stderr, "timeout ceiling violation @ %s: %llu timed out\n",
-                   spec.label,
-                   static_cast<unsigned long long>(p.contacts_timed_out));
-      all_ok = false;
+    for (const PointResult& p : samples[i]) {
+      if (p.contacts_per_second < floor) {
+        std::fprintf(stderr,
+                     "throughput floor violation @ %s: %.0f contacts/s "
+                     "(floor %.0f)\n",
+                     spec.label, p.contacts_per_second, floor);
+        all_ok = false;
+      }
+      if (p.protocol.contacts_processed != spec.point.contacts) {
+        std::fprintf(stderr, "lost contacts @ %s: %llu of %zu completed\n",
+                     spec.label,
+                     static_cast<unsigned long long>(
+                         p.protocol.contacts_processed),
+                     spec.point.contacts);
+        all_ok = false;
+      }
+      if (static_cast<double>(p.contacts_timed_out) >
+          kTimeoutCeiling * static_cast<double>(spec.point.contacts)) {
+        std::fprintf(stderr,
+                     "timeout ceiling violation @ %s: %llu timed out\n",
+                     spec.label,
+                     static_cast<unsigned long long>(p.contacts_timed_out));
+        all_ok = false;
+      }
     }
   }
 

@@ -26,21 +26,22 @@ struct StateCost {
   std::uint64_t active_bytes = 0;  ///< materialization for `active` nodes
 };
 
-StateCost measure_state(std::size_t nodes, std::size_t active,
-                        bool reference) {
+StateCost measure_state(const bsub::workload::KeySet& keys, std::size_t nodes,
+                        std::size_t active, bool reference) {
   using namespace bsub;
   const bloom::BloomParams params{256, 4};
   const std::uint64_t start = bench::allocated_bytes_now();
-  core::InterestManager im(nodes, params, 50.0, 0.5,
+  core::InterestManager im(keys, nodes, params, 50.0, 0.5,
                            /*eager_state=*/reference);
   core::BrokerElection el(nodes,
                           {3, 5, 5 * util::kHour,
                            /*reference_state=*/reference});
   StateCost cost;
   cost.idle_bytes = bench::allocated_bytes_now() - start;
-  const bloom::Tcbf genuine = im.make_genuine("NewMoon");
+  const workload::KeyId new_moon[] = {0};  // the top trend, "NewMoon"
+  const bloom::Tcbf genuine = im.make_genuine(new_moon);
   for (std::size_t n = 0; n < active; ++n) {
-    im.absorb_genuine(static_cast<trace::NodeId>(n), genuine, "NewMoon",
+    im.absorb_genuine(static_cast<trace::NodeId>(n), genuine, new_moon,
                       util::kMinute);
     el.on_contact(static_cast<trace::NodeId>(n),
                   static_cast<trace::NodeId>((n + 1) % nodes), util::kMinute);
@@ -103,8 +104,10 @@ int main() {
   print_header("Resident state — eager (reference) vs lazy/pooled layout");
   constexpr std::size_t kNodes = 100000;
   constexpr std::size_t kActive = kNodes / 10;  // 10% ever participate
-  const StateCost eager = measure_state(kNodes, kActive, /*reference=*/true);
-  const StateCost lazy = measure_state(kNodes, kActive, /*reference=*/false);
+  const StateCost eager =
+      measure_state(keys, kNodes, kActive, /*reference=*/true);
+  const StateCost lazy =
+      measure_state(keys, kNodes, kActive, /*reference=*/false);
   std::printf("%zu nodes, %zu active (interest + election state)\n", kNodes,
               kActive);
   std::printf("%-28s | %14s | %10s\n", "layout", "idle heap bytes",

@@ -13,14 +13,6 @@ BsubProtocol::BsubProtocol(BsubConfig config) : config_(config) {}
 
 BsubProtocol::~BsubProtocol() = default;
 
-const std::string& BsubProtocol::key_name(workload::KeyId key) const {
-  return workload_->keys().name(key);
-}
-
-const util::HashPair& BsubProtocol::key_hash(workload::KeyId key) const {
-  return workload_->keys().hash(key);
-}
-
 double BsubProtocol::measured_relay_fpr() const {
   const std::uint64_t probes = fpr_probes_.load(std::memory_order_relaxed);
   const std::uint64_t hits = fpr_hits_.load(std::memory_order_relaxed);
@@ -40,28 +32,12 @@ void BsubProtocol::on_start(const sim::ScenarioInfo& scenario,
                              config_.election_window,
                              config_.reference_node_state});
   interests_ = std::make_unique<InterestManager>(
-      nodes, config_.filter_params, config_.initial_counter,
+      workload.keys(), nodes, config_.filter_params, config_.initial_counter,
       config_.df_per_minute, /*eager_state=*/config_.reference_node_state);
   producer_.clear();
   producer_.resize(nodes);
   carrier_.clear();
   carrier_.resize(nodes);
-  interest_offsets_.assign(nodes + 1, 0);
-  for (std::size_t n = 0; n < nodes; ++n) {
-    interest_offsets_[n + 1] =
-        interest_offsets_[n] +
-        static_cast<std::uint32_t>(workload.interests_of(n).size());
-  }
-  interest_names_flat_.clear();
-  interest_hashes_flat_.clear();
-  interest_names_flat_.reserve(interest_offsets_[nodes]);
-  interest_hashes_flat_.reserve(interest_offsets_[nodes]);
-  for (std::size_t n = 0; n < nodes; ++n) {
-    for (workload::KeyId k : workload.interests_of(n)) {
-      interest_names_flat_.push_back(key_name(k));
-      interest_hashes_flat_.push_back(key_hash(k));
-    }
-  }
   if (config_.reference_node_state) {
     filter_cache_.assign(nodes, NodeFilterCache());
     filter_ptr_.clear();
@@ -156,9 +132,9 @@ void BsubProtocol::build_filter_cache(NodeFilterCache& fc,
                                       trace::NodeId node) const {
   // A node's interest set is fixed for the whole run, so its interest
   // report, genuine filter, and their exact wire sizes are run constants.
-  fc.report = interests_->make_report(interest_hashes(node));
+  fc.report = interests_->make_report(workload_->interests_of(node));
   fc.report_bytes = bloom::encoded_bloom_wire_size(fc.report);
-  fc.genuine = interests_->make_genuine(interest_hashes(node));
+  fc.genuine = interests_->make_genuine(workload_->interests_of(node));
   fc.genuine_bytes = bloom::encoded_tcbf_wire_size(
       fc.genuine, bloom::CounterEncoding::kUniform);
   fc.built = true;
@@ -282,8 +258,10 @@ void BsubProtocol::broker_exchange(trace::NodeId a, trace::NodeId b,
     // forwarding decisions use the pre-merge snapshots (section V-D).
     const bloom::Tcbf snap_a = interests_->relay(a, now);
     const bloom::Tcbf snap_b = interests_->relay(b, now);
-    const auto shadow_a = interests_->shadow_snapshot(a);
-    const auto shadow_b = interests_->shadow_snapshot(b);
+    const std::span<const double> live_a = interests_->shadow_snapshot(a);
+    const std::span<const double> live_b = interests_->shadow_snapshot(b);
+    const std::vector<double> shadow_a(live_a.begin(), live_a.end());
+    const std::vector<double> shadow_b(live_b.begin(), live_b.end());
 
     const auto enc_a =
         bloom::encode_tcbf(snap_a, bloom::CounterEncoding::kFull);
@@ -322,9 +300,10 @@ void BsubProtocol::broker_exchange(trace::NodeId a, trace::NodeId b,
   // (not members) so concurrent batch workers each get their own buffers
   // while the capacity still survives across contacts on a worker.
   thread_local bloom::Tcbf scratch_relay;
-  thread_local InterestManager::ShadowMap scratch_shadow;
+  thread_local std::vector<double> scratch_shadow;
   scratch_relay = relay_a;
-  scratch_shadow = interests_->shadow_snapshot(a);
+  const std::span<const double> shadow_a = interests_->shadow_snapshot(a);
+  scratch_shadow.assign(shadow_a.begin(), shadow_a.end());
   interests_->merge_relay_from(a, relay_b, interests_->shadow_snapshot(b),
                                config_.broker_merge, now);
   interests_->merge_relay_from(b, scratch_relay, scratch_shadow,
@@ -395,7 +374,7 @@ void BsubProtocol::direct_delivery(trace::NodeId from, trace::NodeId to,
   const bloom::BloomFilter* report = nullptr;
   std::size_t report_bytes = 0;
   if (config_.reference_contact_path) {
-    ref_report = interests_->make_report(interest_hashes(to));
+    ref_report = interests_->make_report(workload_->interests_of(to));
     report_bytes = bloom::encode_bloom(ref_report).size();
     report = &ref_report;
   } else {
@@ -471,10 +450,10 @@ void BsubProtocol::direct_delivery(trace::NodeId from, trace::NodeId to,
 void BsubProtocol::propagate_interest(trace::NodeId consumer,
                                       trace::NodeId broker, util::Time now,
                                       sim::Link& link) {
-  const std::span<const std::string_view> keys = interest_names(consumer);
+  const std::span<const workload::KeyId> keys =
+      workload_->interests_of(consumer);
   if (config_.reference_contact_path) {
-    const bloom::Tcbf genuine =
-        interests_->make_genuine(interest_hashes(consumer));
+    const bloom::Tcbf genuine = interests_->make_genuine(keys);
     // Fresh genuine filters have identical counters: uniform encoding.
     const auto enc =
         bloom::encode_tcbf(genuine, bloom::CounterEncoding::kUniform);
@@ -544,7 +523,6 @@ void BsubProtocol::broker_pickup(trace::NodeId producer, trace::NodeId broker,
   for (auto it = ps->produced.begin(); it != ps->produced.end();) {
     OwnedMessage& owned = it->second;
     const workload::Message& msg = *owned.msg;
-    const std::string& key = key_name(msg.key);
     const bool relay_hit = ref_path ? relay_bf.contains(key_hash(msg.key))
                                     : relay.contains_at(key_indices(msg.key));
     if (owned.copies_left == 0 || carries_or_carried(broker, msg.id) ||
@@ -564,7 +542,7 @@ void BsubProtocol::broker_pickup(trace::NodeId producer, trace::NodeId broker,
     cs.carried_ever.insert(msg.id);
     // Ground truth: a pickup whose key the relay never genuinely absorbed is
     // a false injection (Bloom false positive of the relay filter).
-    if (!interests_->genuinely_contains(broker, key, now)) {
+    if (!interests_->genuinely_contains(broker, msg.key, now)) {
       cs.falsely_injected.insert(msg.id);
       false_injections_.fetch_add(1, std::memory_order_relaxed);
     }

@@ -1,14 +1,16 @@
 #include "core/interest_manager.h"
 
+#include <algorithm>
 #include <cassert>
 
 namespace bsub::core {
 
-InterestManager::InterestManager(std::size_t node_count,
+InterestManager::InterestManager(const workload::KeySet& keys,
+                                 std::size_t node_count,
                                  bloom::BloomParams params,
                                  double initial_counter, double df_per_minute,
                                  bool eager_state)
-    : params_(params), initial_counter_(initial_counter),
+    : keys_(&keys), params_(params), initial_counter_(initial_counter),
       df_per_minute_(df_per_minute), eager_(eager_state),
       slots_(node_count), empty_relay_(params, initial_counter) {
   assert(df_per_minute >= 0.0);
@@ -46,9 +48,11 @@ bloom::Tcbf& InterestManager::relay(trace::NodeId node, util::Time now) {
     if (df > 0.0) {
       const double amount = df * util::to_minutes(now - s.last_decay);
       s.filter.decay(amount);
-      for (auto it = s.shadow.begin(); it != s.shadow.end();) {
-        it->second -= amount;
-        it = it->second <= 0.0 ? s.shadow.erase(it) : std::next(it);
+      for (double& v : s.shadow) {
+        if (v > 0.0) {
+          v -= amount;
+          if (v <= 0.0) v = 0.0;  // drained: the key reads absent
+        }
       }
     }
     s.last_decay = now;
@@ -56,104 +60,67 @@ bloom::Tcbf& InterestManager::relay(trace::NodeId node, util::Time now) {
   return s.filter;
 }
 
-bloom::Tcbf InterestManager::make_genuine(std::string_view key) const {
-  bloom::Tcbf g(params_, initial_counter_);
-  g.insert(key);
-  return g;
+std::vector<double>& InterestManager::sized_shadow(trace::NodeId node) {
+  std::vector<double>& shadow = pool_[slots_[node].state].shadow;
+  if (shadow.empty()) shadow.assign(keys_->size(), 0.0);
+  return shadow;
 }
 
 bloom::Tcbf InterestManager::make_genuine(
-    std::span<const std::string_view> keys) const {
+    std::span<const workload::KeyId> keys) const {
   bloom::Tcbf g(params_, initial_counter_);
-  for (std::string_view key : keys) g.insert(key);
+  for (workload::KeyId k : keys) g.insert(keys_->hash(k));
   return g;
 }
 
-bloom::Tcbf InterestManager::make_genuine(
-    std::span<const util::HashPair> keys) const {
-  bloom::Tcbf g(params_, initial_counter_);
-  for (const util::HashPair& hp : keys) g.insert(hp);
-  return g;
-}
-
-bloom::BloomFilter InterestManager::make_report(std::string_view key) const {
-  bloom::BloomFilter bf(params_);
-  bf.insert(key);
-  return bf;
-}
-
 bloom::BloomFilter InterestManager::make_report(
-    std::span<const std::string_view> keys) const {
+    std::span<const workload::KeyId> keys) const {
   bloom::BloomFilter bf(params_);
-  for (std::string_view key : keys) bf.insert(key);
-  return bf;
-}
-
-bloom::BloomFilter InterestManager::make_report(
-    std::span<const util::HashPair> keys) const {
-  bloom::BloomFilter bf(params_);
-  for (const util::HashPair& hp : keys) bf.insert(hp);
+  for (workload::KeyId k : keys) bf.insert(keys_->hash(k));
   return bf;
 }
 
 void InterestManager::absorb_genuine(trace::NodeId broker,
                                      const bloom::Tcbf& genuine,
-                                     std::string_view key, util::Time now) {
-  relay(broker, now).a_merge(genuine);
-  // A-merge adds the genuine counters (all = C) onto the key's bits; the
-  // key's minimum counter therefore grows by exactly C.
-  ShadowMap& shadow = pool_[slots_[broker].state].shadow;
-  if (auto it = shadow.find(key); it != shadow.end()) {
-    it->second += genuine.initial_counter();
-  } else {
-    shadow.emplace(std::string(key), genuine.initial_counter());
-  }
-}
-
-void InterestManager::absorb_genuine(trace::NodeId broker,
-                                     const bloom::Tcbf& genuine,
-                                     std::span<const std::string_view> keys,
+                                     std::span<const workload::KeyId> keys,
                                      util::Time now) {
   relay(broker, now).a_merge(genuine);
-  ShadowMap& shadow = pool_[slots_[broker].state].shadow;
-  for (std::string_view key : keys) {
-    if (auto it = shadow.find(key); it != shadow.end()) {
-      it->second += genuine.initial_counter();
-    } else {
-      shadow.emplace(std::string(key), genuine.initial_counter());
-    }
-  }
+  // A-merge adds the genuine counters (all = C) onto each key's bits; each
+  // key's minimum counter therefore grows by exactly C (from 0 if absent).
+  std::vector<double>& shadow = sized_shadow(broker);
+  for (workload::KeyId k : keys) shadow[k] += genuine.initial_counter();
 }
 
 void InterestManager::merge_relay_from(trace::NodeId dst,
                                        const bloom::Tcbf& src_filter,
-                                       const ShadowMap& src_shadow,
+                                       std::span<const double> src_shadow,
                                        BrokerMergeMode mode, util::Time now) {
   bloom::Tcbf& filter = relay(dst, now);
-  ShadowMap& shadow = pool_[slots_[dst].state].shadow;
   if (mode == BrokerMergeMode::kMMerge) {
     filter.m_merge(src_filter);
-    for (const auto& [key, value] : src_shadow) {
-      auto [it, inserted] = shadow.emplace(key, value);
-      if (!inserted) it->second = std::max(it->second, value);
-    }
   } else {
     filter.a_merge(src_filter);
-    for (const auto& [key, value] : src_shadow) shadow[key] += value;
+  }
+  if (src_shadow.empty()) return;  // the source never absorbed a key
+  // Absent keys are 0.0 on both sides, and max(0, v) == 0 + v == v, so the
+  // per-key rules below are exactly insert-or-combine.
+  std::vector<double>& shadow = sized_shadow(dst);
+  for (std::size_t k = 0; k < src_shadow.size(); ++k) {
+    shadow[k] = mode == BrokerMergeMode::kMMerge
+                    ? std::max(shadow[k], src_shadow[k])
+                    : shadow[k] + src_shadow[k];
   }
 }
 
 bool InterestManager::genuinely_contains(trace::NodeId node,
-                                         std::string_view key,
-                                         util::Time now) {
+                                         workload::KeyId key, util::Time now) {
   // An unmaterialized relay never absorbed anything: answer without
   // materializing (the eager equivalent — decaying an empty state, then
   // probing an empty shadow — observes the same `false`).
   if (slots_[node].state == util::kNoPoolHandle) return false;
   relay(node, now);  // bring the shadow up to date
-  const ShadowMap& shadow = pool_[slots_[node].state].shadow;
-  auto it = shadow.find(key);  // transparent: no temp string
-  return it != shadow.end() && it->second > 0.0;
+  const std::vector<double>& shadow = pool_[slots_[node].state].shadow;
+  return !shadow.empty() && shadow[key] > 0.0;
 }
 
 void InterestManager::clear_relay(trace::NodeId node, util::Time now) {

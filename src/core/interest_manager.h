@@ -5,17 +5,19 @@
 // A broker accumulates other users' interests in its *relay filter*, which
 // decays continuously at the DF; decay is applied lazily (per-filter
 // timestamps) so idle nodes cost nothing.
-// Ground truth: alongside every relay filter the manager keeps a *shadow
-// set* — the keys the filter genuinely absorbed, with counters mirroring the
-// TCBF's decay/merge arithmetic. The shadow is measurement instrumentation
-// only (it costs no protocol bytes): comparing a TCBF hit against the shadow
-// identifies relay-filter false positives, which feed the paper's
-// false-delivery metric (Fig. 9(d)).
+// Ground truth: alongside every relay filter the manager keeps a *shadow*
+// — the remaining counter of every key the filter genuinely absorbed,
+// mirroring the TCBF's decay/merge arithmetic. It is a dense array indexed
+// by the run's interned workload::KeyId (0.0 = absent), empty until the
+// relay first absorbs or merges a key. The shadow is measurement
+// instrumentation only (it costs no protocol bytes): comparing a TCBF hit
+// against the shadow identifies relay-filter false positives, which feed
+// the paper's false-delivery metric (Fig. 9(d)).
 //
 // Storage is lazy and pooled: B-SUB's own premise is that only brokers
 // carry relay filters, so a node costs 16 bytes of slot (pool handle + DF
 // override) until its relay is first touched. Relay state (a full TCBF +
-// shadow map) materializes from an ObjectPool on first use and returns to
+// shadow array) materializes from an ObjectPool on first use and returns to
 // the pool on clear_relay — a re-promoted broker reuses the heap capacity a
 // demoted one left behind. `eager_state` retains the historical
 // one-RelayState-per-node layout as the differential-test reference; the
@@ -25,42 +27,28 @@
 // unobservable until the first insert, which materializes).
 #pragma once
 
-#include <functional>
 #include <span>
-#include <string>
-#include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "bloom/bloom_filter.h"
 #include "bloom/tcbf.h"
 #include "core/config.h"
 #include "trace/contact.h"
-#include "util/hash.h"
 #include "util/pool.h"
 #include "util/time.h"
+#include "workload/keys.h"
 
 namespace bsub::core {
 
-/// Transparent string hashing so shadow lookups by string_view need no
-/// temporary std::string.
-struct StringHash {
-  using is_transparent = void;
-  std::size_t operator()(std::string_view s) const {
-    return std::hash<std::string_view>{}(s);
-  }
-};
-
 class InterestManager {
  public:
-  /// Ground-truth key -> remaining counter value.
-  using ShadowMap =
-      std::unordered_map<std::string, double, StringHash, std::equal_to<>>;
-  /// `eager_state` pre-materializes every node's relay state up front (the
-  /// historical layout, kept as the differential-test reference).
-  InterestManager(std::size_t node_count, bloom::BloomParams params,
-                  double initial_counter, double df_per_minute,
-                  bool eager_state = false);
+  /// `keys` is the run's key universe (it must outlive the manager): every
+  /// KeyId below indexes it. `eager_state` pre-materializes every node's
+  /// relay state up front (the historical layout, kept as the
+  /// differential-test reference).
+  InterestManager(const workload::KeySet& keys, std::size_t node_count,
+                  bloom::BloomParams params, double initial_counter,
+                  double df_per_minute, bool eager_state = false);
 
   /// The node's relay filter, decayed up to `now`. The per-node DF override
   /// (if set) takes precedence over the global DF. Materializes the node's
@@ -74,53 +62,38 @@ class InterestManager {
     return s.state == util::kNoPoolHandle ? empty_relay_ : pool_[s.state].filter;
   }
 
-  /// Builds the genuine filter for a single interest key.
-  bloom::Tcbf make_genuine(std::string_view key) const;
-
   /// Builds the genuine filter for a set of interest keys (section V-A's
   /// multi-key extension).
-  bloom::Tcbf make_genuine(std::span<const std::string_view> keys) const;
+  bloom::Tcbf make_genuine(std::span<const workload::KeyId> keys) const;
 
-  /// Interned-hash variant: no string hashing on the hot path.
-  bloom::Tcbf make_genuine(std::span<const util::HashPair> keys) const;
-
-  /// Builds the counter-less interest report (a plain BF) for a key.
-  bloom::BloomFilter make_report(std::string_view key) const;
-
-  /// Counter-less report for a set of keys.
-  bloom::BloomFilter make_report(std::span<const std::string_view> keys) const;
-
-  /// Interned-hash variant: no string hashing on the hot path.
-  bloom::BloomFilter make_report(std::span<const util::HashPair> keys) const;
+  /// Builds the counter-less interest report (a plain BF) for a key set.
+  bloom::BloomFilter make_report(std::span<const workload::KeyId> keys) const;
 
   /// A-merges a consumer's genuine filter into a broker's relay filter
-  /// (reinforcement happens through repeated meetings). `key` is the
-  /// interest the genuine filter represents, recorded in the shadow set.
+  /// (reinforcement happens through repeated meetings). `keys` are the
+  /// interests the genuine filter represents; each enters the shadow.
   void absorb_genuine(trace::NodeId broker, const bloom::Tcbf& genuine,
-                      std::string_view key, util::Time now);
+                      std::span<const workload::KeyId> keys, util::Time now);
 
-  /// Multi-key absorb: every key of the genuine filter enters the shadow.
-  void absorb_genuine(trace::NodeId broker, const bloom::Tcbf& genuine,
-                      std::span<const std::string_view> keys, util::Time now);
-
-  /// Merges another broker's relay state (filter + shadow) into `dst`'s,
-  /// with M-merge or A-merge semantics. `dst` is decayed to `now` first.
+  /// Merges another broker's relay state (filter + shadow counters, as
+  /// returned by shadow_snapshot) into `dst`'s, with M-merge or A-merge
+  /// semantics. `dst` is decayed to `now` first.
   void merge_relay_from(trace::NodeId dst, const bloom::Tcbf& src_filter,
-                        const ShadowMap& src_shadow, BrokerMergeMode mode,
-                        util::Time now);
+                        std::span<const double> src_shadow,
+                        BrokerMergeMode mode, util::Time now);
 
   /// Ground truth: does `node`'s relay filter genuinely hold `key` at `now`?
   /// A TCBF hit without this is a relay false positive. Never materializes:
   /// an unmaterialized relay holds nothing.
-  bool genuinely_contains(trace::NodeId node, std::string_view key,
+  bool genuinely_contains(trace::NodeId node, workload::KeyId key,
                           util::Time now);
 
-  /// Shadow set snapshot (decayed to whenever relay() was last called).
-  /// Unmaterialized nodes see a shared empty map.
-  const ShadowMap& shadow_snapshot(trace::NodeId node) const {
+  /// Shadow counters indexed by KeyId (decayed to whenever relay() was last
+  /// called). Empty when the relay never absorbed or merged a key.
+  std::span<const double> shadow_snapshot(trace::NodeId node) const {
     const NodeSlot& s = slots_[node];
-    return s.state == util::kNoPoolHandle ? empty_shadow_
-                                          : pool_[s.state].shadow;
+    if (s.state == util::kNoPoolHandle) return {};
+    return pool_[s.state].shadow;
   }
 
   /// Resets a node's relay filter (e.g. on demotion from brokership). In
@@ -149,7 +122,8 @@ class InterestManager {
  private:
   struct RelayState {
     bloom::Tcbf filter;
-    ShadowMap shadow;
+    /// Remaining counter per KeyId; empty or keys.size() long.
+    std::vector<double> shadow;
     util::Time last_decay = 0;
   };
   /// What every node pays, participant or not: a pool handle + DF override.
@@ -162,6 +136,10 @@ class InterestManager {
   /// state starts its decay clock at `now`, which is indistinguishable from
   /// an eager empty state decayed to `now`.
   RelayState& state_for(trace::NodeId node, util::Time now);
+  /// A materialized node's shadow, sized to the key universe on first use.
+  std::vector<double>& sized_shadow(trace::NodeId node);
+
+  const workload::KeySet* keys_;
 
   bloom::BloomParams params_;
   double initial_counter_;
@@ -169,9 +147,8 @@ class InterestManager {
   bool eager_;
   std::vector<NodeSlot> slots_;
   util::ObjectPool<RelayState> pool_;
-  /// Shared snapshots for unmaterialized nodes.
+  /// Shared snapshot for unmaterialized nodes.
   bloom::Tcbf empty_relay_;
-  ShadowMap empty_shadow_;
 };
 
 }  // namespace bsub::core

@@ -66,7 +66,8 @@ TraceRunner TraceRunner::from_protocol_spec(std::string_view protocol_spec,
 
 TraceRunResults TraceRunner::run(trace::ContactStream& contacts,
                                  const workload::Workload& workload) {
-  const std::size_t node_count = contacts.node_count();
+  sim::ScenarioReplay replay(contacts, workload);
+  const std::size_t node_count = replay.node_count();
   Network net(node_config_);
   core::BrokerElection election(node_count, election_config_);
 
@@ -115,30 +116,11 @@ TraceRunResults TraceRunner::run(trace::ContactStream& contacts,
     bytes_used.fetch_add(report.bytes_used, std::memory_order_relaxed);
   };
 
-  // Streamed replay: merge creations and contacts with the simulator's
-  // exact tie rule, staging one scheduling window at a time.
-  sim::ScenarioEventStream events(contacts, workload);
-  std::vector<sim::ScenarioEvent> staged;
-
   sim::ParallelRunConfig pcfg;
   pcfg.threads = options_.threads;
   pcfg.window_events = options_.window_events;
   pcfg.min_batch_fanout = options_.min_batch_fanout;
-  last_run_stats_ = sim::run_windowed_parallel(
-      node_count,
-      [&](std::span<sim::EventNodes> slots) {
-        staged.resize(slots.size());
-        std::size_t n = 0;
-        while (n < slots.size() && events.next(staged[n])) {
-          slots[n] = staged[n].nodes(messages);
-          ++n;
-        }
-        return n;
-      },
-      [&](std::size_t j) { exec_event(staged[j]); }, pcfg);
-  // An empty scenario never engaged the pool; report it as the serial run
-  // it effectively was.
-  if (last_run_stats_.events == 0) last_run_stats_.threads_used = 1;
+  last_run_stats_ = replay.run(pcfg, exec_event);
 
   TraceRunResults results;
   results.contacts_processed = contacts_processed.load();

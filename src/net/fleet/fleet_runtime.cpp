@@ -297,7 +297,8 @@ FleetRunResults FleetRuntime::run_loopback(trace::ContactStream& contacts,
         "fleet.decay_tick",
         "lanes have no timeline between contacts; decay stays lazy");
   }
-  const std::size_t node_count = contacts.node_count();
+  sim::ScenarioReplay replay(contacts, workload);
+  const std::size_t node_count = replay.node_count();
   make_nodes(node_count, workload);
 
   per_node_deliveries_.assign(node_count, {});
@@ -309,33 +310,19 @@ FleetRunResults FleetRuntime::run_loopback(trace::ContactStream& contacts,
         });
   }
 
-  const auto& messages = workload.messages();
-
   static std::atomic<std::uint64_t> run_sequence{0};
   run_token_ = run_sequence.fetch_add(1, std::memory_order_relaxed) + 1;
   const auto wall_start = std::chrono::steady_clock::now();
 
-  sim::ScenarioEventStream events(contacts, workload);
-  std::vector<sim::ScenarioEvent> staged;
   sim::ParallelRunConfig pcfg;
   pcfg.threads = config_.threads;
   pcfg.window_events = config_.window_events;
   pcfg.min_batch_fanout = config_.min_batch_fanout;
 
   FleetRunResults results;
-  results.exec = sim::run_windowed_parallel(
-      node_count,
-      [&](std::span<sim::EventNodes> slots) {
-        staged.resize(slots.size());
-        std::size_t n = 0;
-        while (n < slots.size() && events.next(staged[n])) {
-          slots[n] = staged[n].nodes(messages);
-          ++n;
-        }
-        return n;
-      },
-      [&](std::size_t j) { exec_loopback_event(staged[j], workload); }, pcfg);
-  if (results.exec.events == 0) results.exec.threads_used = 1;
+  results.exec = replay.run(pcfg, [&](const sim::ScenarioEvent& e) {
+    exec_loopback_event(e, workload);
+  });
 
   results.wall_seconds = elapsed_seconds(wall_start);
   results.nodes = node_count;
@@ -482,7 +469,7 @@ FleetRunResults FleetRuntime::run_udp(trace::ContactStream& contacts,
         "fleet UDP mtu smaller than the session datagram size",
         "fleet.udp.mtu", "raise udp.mtu or lower session.mtu");
   }
-  const std::size_t node_count = contacts.node_count();
+  const std::size_t node_count = sim::scenario_node_count(contacts, workload);
   make_nodes(node_count, workload);
   workload_ = &workload;
 

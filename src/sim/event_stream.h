@@ -6,13 +6,20 @@
 // creation at time t is visible to a contact starting at the same t).
 // State is one buffered contact + one message cursor, so the merge adds
 // nothing to a streamed run's memory footprint.
+//
+// ScenarioReplay is the one replay loop every trace-driven driver shares
+// (Simulator, engine::TraceRunner, FleetRuntime's loopback lanes): the
+// merged stream, staged one window at a time into the windowed executor.
 #pragma once
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "sim/conflict_schedule.h"
+#include "sim/parallel_executor.h"
 #include "trace/contact_stream.h"
+#include "util/errors.h"
 #include "workload/workload.h"
 
 namespace bsub::sim {
@@ -80,6 +87,70 @@ class ScenarioEventStream {
   trace::Contact pending_;
   bool has_contact_ = false;
   std::size_t message_index_ = 0;
+};
+
+/// The scenario's node count, after rejecting a workload built for a
+/// different one (util::ConfigError): drivers size per-node state by the
+/// scenario and read every node's interests, so a mismatch would index out
+/// of bounds.
+inline std::size_t scenario_node_count(const trace::ContactStream& contacts,
+                                       const workload::Workload& workload) {
+  const std::size_t nodes = contacts.node_count();
+  if (workload.node_count() != nodes) {
+    throw util::ConfigError(
+        "workload has " + std::to_string(workload.node_count()) +
+            " nodes but the scenario has " + std::to_string(nodes),
+        "workload.node_count", "build the workload for the scenario's nodes");
+  }
+  return nodes;
+}
+
+/// The shared replay loop: `contacts` merged with `workload`'s message
+/// creations, staged one window at a time into the windowed executor
+/// (serial when threads resolve to 1). Construct it before sizing any
+/// per-node state: the constructor rejects a mismatched workload.
+class ScenarioReplay {
+ public:
+  ScenarioReplay(trace::ContactStream& contacts,
+                 const workload::Workload& workload)
+      : node_count_(scenario_node_count(contacts, workload)),
+        events_(contacts, workload),
+        messages_(&workload.messages()) {}
+
+  std::size_t node_count() const { return node_count_; }
+  /// Time of the last replayed event (0 until one ran).
+  util::Time end_time() const { return end_time_; }
+
+  /// Replays every event; `exec(event)` runs one — concurrently for
+  /// node-disjoint events of a window.
+  template <class Exec>
+  ParallelRunStats run(const ParallelRunConfig& cfg, Exec&& exec) {
+    const std::vector<workload::Message>& messages = *messages_;
+    std::vector<ScenarioEvent> staged;  // reused: windows are sequential
+    ParallelRunStats stats = run_windowed_parallel(
+        node_count_,
+        [&](std::span<EventNodes> slots) {
+          staged.resize(slots.size());
+          std::size_t n = 0;
+          while (n < slots.size() && events_.next(staged[n])) {
+            slots[n] = staged[n].nodes(messages);
+            ++n;
+          }
+          if (n > 0) end_time_ = staged[n - 1].time(messages);
+          return n;
+        },
+        [&](std::size_t j) { exec(staged[j]); }, cfg);
+    // An empty scenario never engaged the pool; report it as the serial
+    // run it effectively was.
+    if (stats.events == 0) stats.threads_used = 1;
+    return stats;
+  }
+
+ private:
+  std::size_t node_count_;
+  ScenarioEventStream events_;
+  const std::vector<workload::Message>* messages_;
+  util::Time end_time_ = 0;
 };
 
 }  // namespace bsub::sim

@@ -31,8 +31,8 @@ namespace bsub::sim {
 struct SimulatorConfig {
   double bandwidth_bytes_per_second = kDefaultBandwidthBytesPerSecond;
   /// Worker threads for the contact loop: 0 = util::default_thread_count()
-  /// (honors BSUB_THREADS), 1 = plain serial loop. Only takes effect when
-  /// the protocol reports parallel_contacts_safe().
+  /// (honors BSUB_THREADS), 1 = serial. Protocols that do not report
+  /// parallel_contacts_safe() always run serially.
   std::size_t threads = 0;
   /// Events per conflict-scheduling window (see ParallelRunConfig).
   std::size_t window_events = 4096;

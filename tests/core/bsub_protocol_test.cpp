@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/protocol_registry.h"
 #include "sim/simulator.h"
 #include "testing/scenario.h"
 #include "trace/synthetic.h"
@@ -301,6 +302,63 @@ TEST(BsubProtocol, AdaptiveDfModeRunsAndDelivers) {
   sim::Simulator sim;
   auto r = sim.run(t, w, proto);
   EXPECT_GT(r.interested_deliveries, 0u);
+}
+
+// Exact results of a small fixed B-SUB run, pinned so that changes to the
+// relay ground-truth representation (or any other refactor of the core) are
+// proven result-neutral. A 64-bit filter on a reduced Haggle-like trace with
+// two interests per node saturates the relay filters enough to produce
+// false injections, so the shadow bookkeeping is exercised on every path:
+// absorb, M-merge, A-merge and per-broker adaptive DF. The relay FPR is
+// compared bit for bit.
+TEST(BsubProtocol, PinnedResultsOnReducedHaggle) {
+  trace::SyntheticTraceConfig tcfg = trace::haggle_infocom06_config(11);
+  tcfg.contact_count = 6000;
+  const trace::ContactTrace t = trace::generate_trace(tcfg);
+  const workload::KeySet keys = workload::twitter_trend_keys();
+  workload::WorkloadConfig wcfg;
+  wcfg.ttl = 6 * util::kHour;
+  wcfg.interests_per_node = 2;
+  const workload::Workload w(t, keys, wcfg);
+
+  struct Pinned {
+    const char* spec;
+    std::uint64_t interested, falsely, forwardings, message_bytes,
+        control_bytes, false_injections, pickups, broker_transfers,
+        deliveries;
+    double relay_fpr;
+  };
+  const Pinned cases[] = {
+      {"B-SUB:m=64", 68926, 201, 221105, 15556950, 1139321, 2865, 62905,
+       89274, 68926, 0.80166500719106093},
+      {"B-SUB:m=64,merge=a", 63763, 220, 221075, 15549153, 1139347, 2773,
+       62400, 94912, 63763, 0.80174798097134636},
+      {"B-SUB:m=64,adaptive=1", 49681, 216, 218966, 15419817, 1139325, 2797,
+       62374, 106911, 49681, 0.80166500719106093},
+  };
+  const sim::ProtocolRegistry registry = make_protocol_registry();
+  for (const Pinned& p : cases) {
+    for (std::size_t threads : {1, 2}) {
+      SCOPED_TRACE(std::string(p.spec) + " threads=" +
+                   std::to_string(threads));
+      std::unique_ptr<sim::Protocol> proto = registry.make(p.spec);
+      const auto& bsub = dynamic_cast<const BsubProtocol&>(*proto);
+      sim::SimulatorConfig scfg;
+      scfg.threads = threads;
+      const metrics::RunResults r = sim::Simulator(scfg).run(t, w, *proto);
+      EXPECT_EQ(r.interested_deliveries, p.interested);
+      EXPECT_EQ(r.false_deliveries, p.falsely);
+      EXPECT_EQ(r.forwardings, p.forwardings);
+      EXPECT_EQ(r.message_bytes, p.message_bytes);
+      EXPECT_EQ(r.control_bytes, p.control_bytes);
+      EXPECT_EQ(bsub.false_injections(), p.false_injections);
+      const BsubProtocol::TrafficBreakdown tb = bsub.traffic();
+      EXPECT_EQ(tb.pickups, p.pickups);
+      EXPECT_EQ(tb.broker_transfers, p.broker_transfers);
+      EXPECT_EQ(tb.deliveries, p.deliveries);
+      EXPECT_EQ(bsub.measured_relay_fpr(), p.relay_fpr);
+    }
+  }
 }
 
 }  // namespace

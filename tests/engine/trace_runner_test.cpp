@@ -9,6 +9,7 @@
 #include "core/df_tuning.h"
 #include "sim/simulator.h"
 #include "trace/synthetic.h"
+#include "util/errors.h"
 
 namespace bsub::engine {
 namespace {
@@ -115,6 +116,15 @@ TEST(TraceRunner, EmptyWorkloadDeliversNothing) {
   TraceRunResults r = runner.run(s.trace, empty);
   EXPECT_EQ(r.deliveries, 0u);
   EXPECT_EQ(r.expected_deliveries, 0u);
+}
+
+TEST(TraceRunner, RejectsWorkloadOfADifferentNodeCount) {
+  Scenario s(17);
+  const std::size_t nodes = s.trace.node_count() + 1;
+  const workload::Workload wider(s.keys, nodes,
+                                 std::vector<workload::KeyId>(nodes, 0), {});
+  TraceRunner runner(NodeConfig{}, {3, 5, 5 * util::kHour});
+  EXPECT_THROW(runner.run(s.trace, wider), util::ConfigError);
 }
 
 }  // namespace

@@ -119,6 +119,22 @@ TEST(FleetRuntimeLoopback, RejectsDecayTicksAndSecondRuns) {
   EXPECT_THROW(fleet.run_loopback(s.trace, s.workload), std::logic_error);
 }
 
+TEST(FleetRuntime, RejectsWorkloadOfADifferentNodeCount) {
+  Scenario s(404, 6, 40);
+  const std::size_t nodes = s.trace.node_count() + 1;
+  const workload::Workload wider(s.keys, nodes,
+                                 std::vector<workload::KeyId>(nodes, 0), {});
+  FleetConfig cfg;
+  cfg.runtime.decay_tick = 0;
+  cfg.threads = 1;
+  FleetRuntime loopback(cfg);
+  EXPECT_THROW(loopback.run_loopback(s.trace, wider), util::ConfigError);
+  // The real-time engine refuses before it opens a socket.
+  cfg.udp.base_port = 46230;
+  FleetRuntime udp(cfg);
+  EXPECT_THROW(udp.run_udp(s.trace, wider), util::ConfigError);
+}
+
 TEST(FleetRuntimeUdp, MiniScenarioDeliversOverRealSockets) {
   // Hand-built guaranteed delivery: node 0 publishes, node 1 subscribes to
   // the same key, they meet directly. Two shards exercise the cross-shard

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "trace/synthetic.h"
+#include "util/errors.h"
 #include "workload/workload.h"
 
 namespace bsub::sim {
@@ -153,6 +154,26 @@ TEST(Simulator, RunIsRepeatable) {
   for (std::size_t i = 0; i < p1.events.size(); ++i) {
     EXPECT_EQ(p1.events[i].time, p2.events[i].time);
     EXPECT_EQ(p1.events[i].kind, p2.events[i].kind);
+  }
+}
+
+TEST(Simulator, RejectsWorkloadOfADifferentNodeCount) {
+  // Protocols size per-node state by the scenario and read every node's
+  // interests, so a workload built for another node count is refused up
+  // front, before the protocol starts.
+  trace::ContactTrace t(2, {{0, 1, 0, util::kMinute}}, "pair");
+  const workload::KeySet keys = workload::twitter_trend_keys();
+  for (std::size_t nodes : {1, 3}) {
+    SCOPED_TRACE(nodes);
+    const workload::Workload w(keys, nodes,
+                               std::vector<workload::KeyId>(nodes, 0), {});
+    RecordingProtocol proto;
+    for (std::size_t threads : {1, 2}) {
+      SimulatorConfig cfg;
+      cfg.threads = threads;
+      EXPECT_THROW(Simulator(cfg).run(t, w, proto), util::ConfigError);
+    }
+    EXPECT_FALSE(proto.started);
   }
 }
 
