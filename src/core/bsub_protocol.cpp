@@ -1,7 +1,8 @@
 #include "core/bsub_protocol.h"
 
 #include <algorithm>
-#include <cstdio>
+#include <optional>
+#include <string_view>
 
 #include "bloom/tcbf_codec.h"
 #include "core/df_tuning.h"
@@ -92,19 +93,14 @@ void BsubProtocol::purge(trace::NodeId node, util::Time now) {
         return kv.second.msg->expired_at(now);
       });
     }
-    if (cs != nullptr) {
-      cs->carried.purge_expired_scan(now);
-      std::erase_if(cs->falsely_injected, [&](workload::MessageId id) {
-        return !cs->carried.contains(id);
-      });
-    }
+    if (cs != nullptr) cs->carried.purge_expired_scan(now);
     return;
   }
   // Fast path: the expiry index proves in O(1) that nothing in produced
   // expired since the last purge; otherwise only the due ids are visited
   // (entries for messages that already left via copy exhaustion are stale
-  // and skipped). falsely_injected only ever names carried ids, so its
-  // rescan is needed only when the carried purge actually dropped copies.
+  // and skipped). Neither path clears the falsely_injected flags of
+  // expired copies: a stale flag is never read (see CarrierState).
   auto& hp = collector_->hot_path();
   if (ps != nullptr) {
     sim::ExpiryIndex& idx = ps->expiry;
@@ -121,11 +117,7 @@ void BsubProtocol::purge(trace::NodeId node, util::Time now) {
       });
     }
   }
-  if (cs != nullptr && cs->carried.purge_expired(now) > 0) {
-    std::erase_if(cs->falsely_injected, [&](workload::MessageId id) {
-      return !cs->carried.contains(id);
-    });
-  }
+  if (cs != nullptr) cs->carried.purge_expired(now);
 }
 
 void BsubProtocol::build_filter_cache(NodeFilterCache& fc,
@@ -370,13 +362,15 @@ void BsubProtocol::direct_delivery(trace::NodeId from, trace::NodeId to,
   // The consumer side reports a counter-less BF of its interests. Interests
   // are static per run, so the fast path reuses the cached report and its
   // exact wire size; the reference path rebuilds and re-encodes per contact.
-  bloom::BloomFilter ref_report;
+  // Only the reference path owns a filter here, so the fast path allocates
+  // nothing per call.
+  std::optional<bloom::BloomFilter> ref_report;
   const bloom::BloomFilter* report = nullptr;
   std::size_t report_bytes = 0;
   if (config_.reference_contact_path) {
     ref_report = interests_->make_report(workload_->interests_of(to));
-    report_bytes = bloom::encode_bloom(ref_report).size();
-    report = &ref_report;
+    report_bytes = bloom::encode_bloom(*ref_report).size();
+    report = &*ref_report;
   } else {
     const NodeFilterCache& fc = node_filters(to);
     report = &fc.report;
@@ -478,11 +472,11 @@ void BsubProtocol::broker_pickup(trace::NodeId producer, trace::NodeId broker,
   // counters").
   const bool ref_path = config_.reference_contact_path;
   bloom::Tcbf& relay = interests_->relay(broker, now);
-  bloom::BloomFilter relay_bf;
+  std::optional<bloom::BloomFilter> relay_bf;  // reference path only
   std::size_t enc_bytes = 0;
   if (ref_path) {
     relay_bf = relay.to_bloom_filter();
-    enc_bytes = bloom::encode_bloom(relay_bf).size();
+    enc_bytes = bloom::encode_bloom(*relay_bf).size();
   } else {
     // The TCBF answers counter-less membership directly (bit set iff its
     // effective counter is positive — exactly to_bloom_filter's bits), so
@@ -499,8 +493,14 @@ void BsubProtocol::broker_pickup(trace::NodeId producer, trace::NodeId broker,
   // key space instead of pinning 8 fixed bit patterns — and they are a pure
   // function of the contact (producer, broker, time, slot), never of a
   // global sequence number, so the sampled FPR is identical whatever order
-  // non-conflicting contacts execute in.
-  char probe[32];
+  // non-conflicting contacts execute in. Each probe key is the 23 bytes
+  // "\x01probe:" + 16 lowercase hex digits of the slot's mix, written in
+  // place one nibble at a time (no formatting, no allocation).
+  static constexpr char kPrefix[] = "\x01probe:";
+  static constexpr std::size_t kPrefixLen = sizeof(kPrefix) - 1;
+  static constexpr char kHex[] = "0123456789abcdef";
+  char probe[kPrefixLen + 16];
+  std::copy_n(kPrefix, kPrefixLen, probe);
   std::uint64_t mix = static_cast<std::uint64_t>(producer) << 32 |
                       static_cast<std::uint64_t>(broker);
   mix ^= static_cast<std::uint64_t>(now) * 0x9e3779b97f4a7c15ull;
@@ -511,9 +511,11 @@ void BsubProtocol::broker_pickup(trace::NodeId producer, trace::NodeId broker,
     z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
     z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
     z ^= z >> 31;
-    std::snprintf(probe, sizeof(probe), "\x01probe:%016llx",
-                  static_cast<unsigned long long>(z));
-    local_hits += ref_path ? relay_bf.contains(probe) : relay.contains(probe);
+    for (std::size_t d = 0; d < 16; ++d) {
+      probe[kPrefixLen + d] = kHex[(z >> (60 - 4 * d)) & 0xf];
+    }
+    const std::string_view key(probe, sizeof(probe));
+    local_hits += ref_path ? relay_bf->contains(key) : relay.contains(key);
   }
   fpr_probes_.fetch_add(8, std::memory_order_relaxed);
   fpr_hits_.fetch_add(local_hits, std::memory_order_relaxed);
@@ -523,7 +525,7 @@ void BsubProtocol::broker_pickup(trace::NodeId producer, trace::NodeId broker,
   for (auto it = ps->produced.begin(); it != ps->produced.end();) {
     OwnedMessage& owned = it->second;
     const workload::Message& msg = *owned.msg;
-    const bool relay_hit = ref_path ? relay_bf.contains(key_hash(msg.key))
+    const bool relay_hit = ref_path ? relay_bf->contains(key_hash(msg.key))
                                     : relay.contains_at(key_indices(msg.key));
     if (owned.copies_left == 0 || carries_or_carried(broker, msg.id) ||
         !relay_hit) {

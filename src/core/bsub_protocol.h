@@ -24,7 +24,6 @@
 #include <mutex>
 #include <span>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "core/broker_allocation.h"
@@ -33,6 +32,7 @@
 #include "sim/expiry_index.h"
 #include "sim/message_store.h"
 #include "sim/protocol.h"
+#include "util/dense_id_set.h"
 
 namespace bsub::core {
 
@@ -115,15 +115,22 @@ class BsubProtocol final : public sim::Protocol {
 
   /// Per-node broker-custody state, materialized on the first copy taken
   /// into custody. Only nodes that ever carried pay for the store and the
-  /// two id sets; a null entry reads as an empty store.
+  /// two id bitmaps (⌈messages/64⌉·8 bytes each, sized from the run's
+  /// dense message ids); a null entry reads as an empty store.
   struct CarrierState {
+    explicit CarrierState(std::size_t messages)
+        : falsely_injected(messages), carried_ever(messages) {}
+
     /// Messages this node carries for others.
     sim::MessageStore carried;
-    /// Copies whose pickup was a relay false positive.
-    std::unordered_set<workload::MessageId> falsely_injected;
+    /// Copies whose pickup was a relay false positive. Read only for ids in
+    /// `carried`; a flag left behind when its copy expires is never read
+    /// again (carried_ever keeps the id out for good), so purges leave it.
+    util::DenseIdSet falsely_injected;
     /// Loop prevention: ids ever held — refused again, so a copy's
-    /// broker-to-broker walk visits each broker at most once.
-    std::unordered_set<workload::MessageId> carried_ever;
+    /// broker-to-broker walk visits each broker at most once. Every add to
+    /// `carried` also lands here, so carried ⊆ carried_ever.
+    util::DenseIdSet carried_ever;
   };
 
   /// Per-node wire artifacts that are static for a run (a node's interest
@@ -162,15 +169,16 @@ class BsubProtocol final : public sim::Protocol {
   }
   CarrierState& carrier_state(trace::NodeId node) {
     auto& c = carrier_[node];
-    if (c == nullptr) c = std::make_unique<CarrierState>();
+    if (c == nullptr) {
+      c = std::make_unique<CarrierState>(workload_->messages().size());
+    }
     return *c;
   }
-  /// Read-only view of a node's carried set; null-safe (null = never
-  /// carried = empty).
+  /// True if the node holds or ever held the id; null-safe (null = never
+  /// carried = empty). One bit test, since carried ⊆ carried_ever.
   bool carries_or_carried(trace::NodeId node, workload::MessageId id) const {
     const CarrierState* c = carrier_[node].get();
-    return c != nullptr &&
-           (c->carried.contains(id) || c->carried_ever.contains(id));
+    return c != nullptr && c->carried_ever.contains(id);
   }
 
   void purge(trace::NodeId node, util::Time now);

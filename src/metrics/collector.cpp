@@ -19,7 +19,10 @@ Collector::NodeLog& Collector::node_log(trace::NodeId node) {
   // first, so this branch never fires while workers hold NodeLog pointers.
   if (node >= logs_.size()) logs_.resize(node + 1);
   auto& log = logs_[node];
-  if (log == nullptr) log = std::make_unique<NodeLog>();
+  if (log == nullptr) {
+    log = std::make_unique<NodeLog>();
+    log->delivered = util::DenseIdSet(messages_created_);
+  }
   return *log;
 }
 
@@ -32,7 +35,8 @@ void Collector::record_delivery(const workload::Message& msg,
                                 trace::NodeId node, util::Time now,
                                 bool interested, bool falsely_injected) {
   NodeLog& log = node_log(node);
-  if (!log.delivered.insert(msg.id).second) return;
+  if (!log.delivered.insert(msg.id)) return;
+  ++log.delivered_count;
   if (interested) {
     ++log.interested;
     log.delay_minutes.push_back(util::to_minutes(now - msg.created));
@@ -61,7 +65,7 @@ RunResults Collector::results() const {
   util::PercentileTracker delays;
   for (const auto& log : logs_) {
     if (log == nullptr) continue;  // no deliveries: contributes nothing
-    total_delivered += log->delivered.size();
+    total_delivered += log->delivered_count;
     r.interested_deliveries += log->interested;
     r.false_deliveries += log->false_deliveries;
     for (double d : log->delay_minutes) delays.add(d);

@@ -24,10 +24,10 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
-#include <unordered_set>
 #include <vector>
 
 #include "trace/contact.h"
+#include "util/dense_id_set.h"
 #include "util/stats.h"
 #include "util/time.h"
 #include "workload/message.h"
@@ -182,6 +182,9 @@ struct RunResults {
 /// Accumulates events during a run; protocols report through this.
 class Collector {
  public:
+  /// `messages_created` also sizes each node's delivered-id bitmap: message
+  /// ids are dense in [0, messages_created). Ids past it still record (the
+  /// node's bitmap grows), so callers that skip this stay correct.
   void set_expected(std::uint64_t messages_created,
                     std::uint64_t expected_deliveries);
 
@@ -203,7 +206,7 @@ class Collector {
                        bool falsely_injected = false);
 
   /// True if (msg, node) was already delivered — lets protocols skip
-  /// retransmissions to satisfied consumers.
+  /// retransmissions to satisfied consumers. Never allocates.
   bool delivered(workload::MessageId id, trace::NodeId node) const;
 
   void record_control_bytes(std::uint64_t bytes) { control_bytes_ += bytes; }
@@ -224,7 +227,8 @@ class Collector {
   /// during that node's own contacts (hence race-free under node-disjoint
   /// batches, and in the node's trace order under any schedule).
   struct NodeLog {
-    std::unordered_set<workload::MessageId> delivered;
+    util::DenseIdSet delivered;         ///< bitmap over message ids
+    std::uint64_t delivered_count = 0;  ///< distinct ids in `delivered`
     std::vector<double> delay_minutes;  ///< interested deliveries, in order
     std::uint64_t interested = 0;
     std::uint64_t false_deliveries = 0;
@@ -236,7 +240,9 @@ class Collector {
   /// slot write happens during that node's own contact, so materialization
   /// is race-free under node-disjoint batches, like every per-node slot in
   /// the protocols). Most nodes at city scale never receive anything and
-  /// cost one pointer instead of ~96 bytes of empty log.
+  /// cost one pointer; a node that does pays ⌈messages/64⌉·8 bytes of
+  /// delivered bitmap. A bitmap grown past the universe is likewise written
+  /// only during its own node's contacts.
 
   std::uint64_t messages_created_ = 0;
   std::uint64_t expected_deliveries_ = 0;

@@ -10,7 +10,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "bloom/bloom_filter.h"
 #include "bloom/tcbf.h"
@@ -179,6 +182,30 @@ TEST(EncodeCache, EpochsAreProcessUnique) {
   EXPECT_NE(t1.epoch(), t2.epoch());
   EXPECT_NE(t1.epoch(), 0u);  // 0 is the empty-cache sentinel
   EXPECT_NE(t2.epoch(), 0u);
+}
+
+TEST(EncodeCache, EpochsStayUniqueAcrossThreads) {
+  // Each thread hands out epochs from its own reserved block; blocks from
+  // the shared counter must never overlap, and 0 stays the cache sentinel.
+  constexpr int kThreads = 4;
+  constexpr std::size_t kCalls = 100000;
+  std::vector<std::vector<std::uint64_t>> got(kThreads);
+  std::vector<std::thread> workers;
+  for (int t = 0; t < kThreads; ++t) {
+    workers.emplace_back([&got, t] {
+      got[t].reserve(kCalls);
+      for (std::size_t i = 0; i < kCalls; ++i) {
+        got[t].push_back(next_filter_epoch());
+      }
+    });
+  }
+  for (auto& w : workers) w.join();
+  std::vector<std::uint64_t> all;
+  for (const auto& g : got) all.insert(all.end(), g.begin(), g.end());
+  ASSERT_EQ(all.size(), kThreads * kCalls);
+  std::sort(all.begin(), all.end());
+  EXPECT_NE(all.front(), 0u);
+  EXPECT_EQ(std::adjacent_find(all.begin(), all.end()), all.end());
 }
 
 TEST(EncodeCache, ContainsAtMatchesContains) {

@@ -1,5 +1,6 @@
-// Tests for the reverse-path delivery gating (section V-C) and the
-// carried_ever loop prevention in broker-to-broker forwarding.
+// Tests for the reverse-path delivery gating (section V-C), the
+// carried_ever loop prevention in broker-to-broker forwarding, and the
+// false-injection flag riding a copy's custody.
 #include <gtest/gtest.h>
 
 #include "core/bsub_protocol.h"
@@ -15,15 +16,17 @@ using bsub::testing::two_keys;
 using util::from_minutes;
 
 struct Harness {
-  workload::KeySet keys = two_keys();
+  workload::KeySet keys;
   trace::ContactTrace trace;
   workload::Workload workload;
   metrics::Collector collector;
   BsubProtocol proto;
 
   Harness(std::size_t nodes, std::vector<workload::KeyId> interests,
-          std::vector<workload::Message> messages, BsubConfig cfg)
-      : trace(nodes, {contact(0, 1, 0)}),
+          std::vector<workload::Message> messages, BsubConfig cfg,
+          workload::KeySet key_set = two_keys())
+      : keys(std::move(key_set)),
+        trace(nodes, {contact(0, 1, 0)}),
         workload(keys, nodes, std::move(interests), std::move(messages)),
         proto(cfg) {
     proto.on_start(trace, workload, collector);
@@ -135,6 +138,50 @@ TEST(LoopPrevention, BrokerDoesNotRePickUpAfterForwardingAway) {
   h.meet(1, 2, 6.0);   // moves to broker 2
   h.meet(0, 1, 7.0);   // producer meets broker 1 again: no second pickup
   EXPECT_EQ(h.proto.traffic().pickups, 1u);
+}
+
+TEST(FalseInjection, FlagFollowsCustodyBetweenBrokers) {
+  // One-hash filters small enough that "alpha" (the message's key) shares
+  // its only bit with "beta" (the primer's interest) but not with "gamma"
+  // (everyone else's): the relay primed with beta picks up an alpha message
+  // by a Bloom false positive, and no gamma node's report matches it.
+  workload::KeySet keys({{"alpha", 0.3}, {"beta", 0.3}, {"gamma", 0.4}});
+  auto bit = [&](workload::KeyId key, std::size_t m) {
+    return util::bloom_indices(keys.hash(key), 1, m)[0];
+  };
+  std::size_t m = 2;
+  while (m <= 256 && !(bit(0, m) == bit(1, m) && bit(0, m) != bit(2, m))) ++m;
+  ASSERT_LE(m, 256u) << "no geometry separates the three keys";
+
+  for (const bool reference : {false, true}) {
+    SCOPED_TRACE(reference ? "reference contact path" : "fast contact path");
+    BsubConfig cfg = pinned(/*df=*/1.0, /*gating=*/false);
+    cfg.filter_params = {m, 1};
+    cfg.reference_contact_path = reference;
+    // Node 0 produces, 1 and 2 are brokers, 3 primes with beta, 4 wants
+    // alpha but never primes a broker before the copy reaches it.
+    Harness h(5, {2, 2, 2, 1, 0}, {make_message(0, 0, 0)}, cfg, keys);
+    h.proto.election_mutable().set_broker(1, true);
+    h.proto.election_mutable().set_broker(2, true);
+    h.meet(3, 1, 1.0);  // broker 1 relays beta (and so, falsely, alpha)
+    h.meet(0, 1, 2.0);  // false-positive pickup at broker 1
+    ASSERT_EQ(h.proto.traffic().pickups, 1u);
+    ASSERT_EQ(h.proto.false_injections(), 1u);
+    h.meet(3, 2, 10.0);  // broker 2 fresher
+    h.meet(1, 2, 11.0);  // custody moves 1 -> 2
+    ASSERT_EQ(h.proto.traffic().broker_transfers, 1u);
+
+    h.meet(1, 4, 12.0);  // the sender gave up custody: nothing to count
+    metrics::RunResults r = h.collector.results();
+    EXPECT_EQ(r.interested_deliveries, 0u);
+    EXPECT_EQ(r.false_deliveries, 0u);
+
+    h.meet(2, 4, 13.0);  // the new custodian delivers a flagged copy
+    r = h.collector.results();
+    EXPECT_EQ(r.interested_deliveries, 1u);
+    EXPECT_EQ(r.false_deliveries, 1u);
+    EXPECT_EQ(h.proto.traffic().deliveries, 1u);
+  }
 }
 
 }  // namespace

@@ -2,6 +2,24 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cstdlib>
+#include <new>
+
+// Counts every global allocation in this test binary, so a test can assert
+// that a call allocated nothing.
+namespace {
+std::atomic<std::size_t> g_allocations{0};
+}  // namespace
+
+void* operator new(std::size_t n) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
+  throw std::bad_alloc();
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+
 namespace bsub::metrics {
 namespace {
 
@@ -156,6 +174,71 @@ TEST(Collector, FalseDeliveryAlsoDedupes) {
   RunResults r = c.results();
   EXPECT_EQ(r.interested_deliveries, 0u);
   EXPECT_EQ(r.false_deliveries, 1u);
+}
+
+TEST(Collector, IdsAtWordBoundaries) {
+  // 63, 64 and 65 straddle the first two bitmap words.
+  Collector c;
+  c.set_expected(66, 3);
+  for (workload::MessageId id : {63u, 64u, 65u}) {
+    c.record_delivery(msg(id), 1, util::kMinute, true);
+    c.record_delivery(msg(id), 1, util::kMinute, true);  // duplicate
+  }
+  EXPECT_TRUE(c.delivered(63, 1));
+  EXPECT_TRUE(c.delivered(64, 1));
+  EXPECT_TRUE(c.delivered(65, 1));
+  EXPECT_FALSE(c.delivered(62, 1));
+  EXPECT_FALSE(c.delivered(66, 1));
+  EXPECT_FALSE(c.delivered(64, 2));
+  EXPECT_EQ(c.results().interested_deliveries, 3u);
+}
+
+TEST(Collector, IdPastUniverseRecordsAndDedupes) {
+  // set_expected sizes the bitmap for 10 messages; a larger id still
+  // records (the node's bitmap grows) and still deduplicates.
+  Collector c;
+  c.set_expected(10, 10);
+  c.record_delivery(msg(3), 1, util::kMinute, true);
+  c.record_delivery(msg(1000), 1, util::kMinute, true);
+  c.record_delivery(msg(1000), 1, 2 * util::kMinute, false);  // ignored
+  EXPECT_TRUE(c.delivered(1000, 1));
+  EXPECT_TRUE(c.delivered(3, 1));
+  EXPECT_FALSE(c.delivered(999, 1));
+  RunResults r = c.results();
+  EXPECT_EQ(r.interested_deliveries, 2u);
+  EXPECT_EQ(r.false_deliveries, 0u);
+}
+
+TEST(Collector, DeliveredLookupNeverAllocates) {
+  Collector c;
+  c.set_expected(10, 10);
+  c.reserve_nodes(4);
+  c.record_delivery(msg(2), 1, util::kMinute, true);
+  const std::size_t before = g_allocations.load();
+  EXPECT_FALSE(c.delivered(std::uint64_t{1} << 40, 1));  // past the universe
+  EXPECT_FALSE(c.delivered(640, 1));
+  EXPECT_FALSE(c.delivered(2, 3));    // reserved node, never logged
+  EXPECT_FALSE(c.delivered(2, 100));  // node past the partition
+  EXPECT_TRUE(c.delivered(2, 1));
+  EXPECT_EQ(g_allocations.load(), before);
+}
+
+TEST(Collector, ForwardingsPerDeliveryCountsDistinctPairs) {
+  // The denominator is the number of distinct (msg, node) pairs, whatever
+  // the duplicates, interest, or bitmap word they land in.
+  Collector c;
+  c.set_expected(80, 10);
+  for (int i = 0; i < 12; ++i) c.record_forwarding(msg(1));
+  c.record_delivery(msg(1), 1, util::kMinute, true);
+  c.record_delivery(msg(1), 1, util::kMinute, true);   // duplicate
+  c.record_delivery(msg(1), 2, util::kMinute, false);  // other node
+  c.record_delivery(msg(2), 1, util::kMinute, true);
+  c.record_delivery(msg(70), 1, util::kMinute, true);  // second word
+  c.record_delivery(msg(70), 1, util::kMinute, false);  // duplicate
+  RunResults r = c.results();
+  EXPECT_EQ(r.forwardings, 12u);
+  EXPECT_DOUBLE_EQ(r.forwardings_per_delivery, 12.0 / 4.0);
+  EXPECT_DOUBLE_EQ(r.false_positive_rate, 1.0 / 4.0);
 }
 
 }  // namespace
