@@ -5,10 +5,14 @@
 // seed-faithful reference path (full purge scans, per-contact re-encoding,
 // deep message copies; BsubConfig::reference_contact_path = true) against
 // the fast path (expiry watermark + index, epoch-cached encodings, shared
-// payloads) on the same synthetic scenario, and checks three things:
+// payloads, per-key filter verdicts) on the same synthetic scenario, and
+// checks three things:
 //
 //   1. throughput: contacts/sec must improve by >= 2x,
-//   2. semantics: the two paths produce identical RunResults,
+//   2. semantics: the two paths produce identical RunResults (delivery
+//      ratio, delay, deliveries, false deliveries, forwardings, bytes) and
+//      identical B-SUB tallies (pickups, broker transfers, deliveries,
+//      false injections, relay FPR),
 //   3. allocation: the steady-state encode path (cache-hit case) performs
 //      zero heap allocations per contact, verified by the shared
 //      resource_stats.h new/delete counting hooks.
@@ -26,6 +30,7 @@ using bsub::bench::allocs_now;
 
 struct PathRun {
   bsub::bench::ProtocolRun run;
+  std::uint64_t false_injections = 0;
   double seconds = 0.0;
   std::uint64_t allocs = 0;
 };
@@ -47,6 +52,7 @@ PathRun run_path(const bsub::trace::ContactTrace& t,
       best.run.results = std::move(results);
       best.run.traffic = proto.traffic();
       best.run.relay_fpr = proto.measured_relay_fpr();
+      best.false_injections = proto.false_injections();
       best.seconds = secs;
       best.allocs = allocs;
     }
@@ -136,19 +142,27 @@ int main() {
   const double fast_cps = contacts / fast.seconds;
   const double speedup = ref_cps > 0.0 ? fast_cps / ref_cps : 0.0;
 
+  const metrics::RunResults& rr = ref.run.results;
+  const metrics::RunResults& fr = fast.run.results;
   const bool semantics_match =
-      ref.run.results.delivery_ratio == fast.run.results.delivery_ratio &&
-      ref.run.results.mean_delay_minutes ==
-          fast.run.results.mean_delay_minutes &&
-      ref.run.results.message_bytes == fast.run.results.message_bytes &&
-      ref.run.results.control_bytes == fast.run.results.control_bytes &&
+      rr.delivery_ratio == fr.delivery_ratio &&
+      rr.mean_delay_minutes == fr.mean_delay_minutes &&
+      rr.interested_deliveries == fr.interested_deliveries &&
+      rr.false_deliveries == fr.false_deliveries &&
+      rr.forwardings == fr.forwardings &&
+      rr.message_bytes == fr.message_bytes &&
+      rr.control_bytes == fr.control_bytes &&
+      ref.run.traffic.pickups == fast.run.traffic.pickups &&
       ref.run.traffic.broker_transfers == fast.run.traffic.broker_transfers &&
+      ref.run.traffic.deliveries == fast.run.traffic.deliveries &&
+      ref.false_injections == fast.false_injections &&
       ref.run.relay_fpr == fast.run.relay_fpr;
 
   constexpr std::size_t kEncodeIters = 200000;
   const std::uint64_t encode_allocs = steady_state_encode_allocs(kEncodeIters);
 
-  const metrics::HotPathStats& hp = fast.run.results.hot_path;
+  const metrics::HotPathStats& hp = fr.hot_path;
+  const metrics::HotPathStats& ref_hp = rr.hot_path;
 
   std::printf("scenario: %zu nodes, %zu contacts, %zu messages, TTL = 6 h\n\n",
               t.node_count(), t.contacts().size(), w.messages().size());
@@ -179,6 +193,18 @@ int main() {
       static_cast<unsigned long long>(hp.encode_cache_misses),
       static_cast<unsigned long long>(hp.payload_copies_avoided),
       static_cast<unsigned long long>(hp.payload_copies_made));
+  std::printf(
+      "scan counters (fast / reference): entries visited by delivery "
+      "%llu / %llu, pickup %llu / %llu, ranking %llu / %llu; "
+      "filter probes %llu / %llu\n",
+      static_cast<unsigned long long>(hp.delivery_entries_scanned),
+      static_cast<unsigned long long>(ref_hp.delivery_entries_scanned),
+      static_cast<unsigned long long>(hp.pickup_entries_scanned),
+      static_cast<unsigned long long>(ref_hp.pickup_entries_scanned),
+      static_cast<unsigned long long>(hp.ranking_entries_scanned),
+      static_cast<unsigned long long>(ref_hp.ranking_entries_scanned),
+      static_cast<unsigned long long>(hp.filter_probes),
+      static_cast<unsigned long long>(ref_hp.filter_probes));
 
   std::vector<std::string> points;
   points.push_back(
@@ -192,6 +218,10 @@ int main() {
           .field("message_bytes", ref.run.results.message_bytes)
           .field("control_bytes", ref.run.results.control_bytes)
           .field("delivery_ratio", ref.run.results.delivery_ratio)
+          .field("delivery_entries_scanned", ref_hp.delivery_entries_scanned)
+          .field("pickup_entries_scanned", ref_hp.pickup_entries_scanned)
+          .field("ranking_entries_scanned", ref_hp.ranking_entries_scanned)
+          .field("filter_probes", ref_hp.filter_probes)
           .str());
   points.push_back(
       JsonObject()
@@ -216,6 +246,10 @@ int main() {
           .field("encode_cache_misses", hp.encode_cache_misses)
           .field("payload_copies_avoided", hp.payload_copies_avoided)
           .field("payload_copies_made", hp.payload_copies_made)
+          .field("delivery_entries_scanned", hp.delivery_entries_scanned)
+          .field("pickup_entries_scanned", hp.pickup_entries_scanned)
+          .field("ranking_entries_scanned", hp.ranking_entries_scanned)
+          .field("filter_probes", hp.filter_probes)
           .str());
   write_bench_json("contact_loop", wall.seconds(), points);
 

@@ -10,6 +10,59 @@
 
 namespace bsub::core {
 
+namespace {
+
+/// One memoized value per KeyId for the duration of a single scan. The
+/// scans that use it (direct delivery's relay gate, pickup's relay gate,
+/// the broker-to-broker preference ranking) mutate no filter inside their
+/// loop — no insert, merge or decay happens between two messages — so a
+/// key's verdict is a constant of the scan: it is computed at the key's
+/// first message and reused for every later copy of the same key. begin()
+/// forgets all verdicts in O(1) by bumping a generation stamp; callers keep
+/// one thread_local instance per scan, so concurrent batch workers never
+/// share one.
+template <class V>
+class KeyMemo {
+ public:
+  void begin(std::size_t keys) {
+    if (slots_.size() < keys) slots_.resize(keys);
+    if (++generation_ == 0) {  // wrapped: no stale stamp may match again
+      for (Slot& s : slots_) s.stamp = 0;
+      generation_ = 1;
+    }
+  }
+
+  template <class Fn>
+  V get(workload::KeyId key, Fn&& compute) {
+    Slot& s = slots_[key];
+    if (s.stamp != generation_) {
+      s.value = compute();
+      s.stamp = generation_;
+    }
+    return s.value;
+  }
+
+ private:
+  struct Slot {
+    std::uint32_t stamp = 0;  ///< generation that computed `value`
+    V value{};
+  };
+  std::vector<Slot> slots_;
+  std::uint32_t generation_ = 0;
+};
+
+}  // namespace
+
+util::DenseIdSet report_key_mask(
+    const bloom::BloomFilter& report,
+    std::span<const util::IndexArray> key_indices) {
+  util::DenseIdSet mask(key_indices.size());
+  for (workload::KeyId k = 0; k < key_indices.size(); ++k) {
+    if (report.contains_at(key_indices[k])) mask.insert(k);
+  }
+  return mask;
+}
+
 BsubProtocol::BsubProtocol(BsubConfig config) : config_(config) {}
 
 BsubProtocol::~BsubProtocol() = default;
@@ -69,16 +122,24 @@ void BsubProtocol::on_message_created(const workload::Message& msg,
   // table, so the fast path borrows the payload; the reference path keeps
   // the historical deep copy per producer buffer.
   auto& hp = collector_->hot_path();
-  ProducerState& ps = producer_state(msg.producer);
+  sim::MessageRef ref;
   if (config_.reference_contact_path) {
-    ps.produced.emplace(
-        msg.id, OwnedMessage{std::make_shared<const workload::Message>(msg),
-                             config_.copy_limit});
+    ref = std::make_shared<const workload::Message>(msg);
     ++hp.payload_copies_made;
   } else {
-    ps.produced.emplace(
-        msg.id, OwnedMessage{sim::borrow_message(msg), config_.copy_limit});
+    ref = sim::borrow_message(msg);
     ++hp.payload_copies_avoided;
+  }
+  // Ids arrive in creation order, so the insert lands at the end; a
+  // repeated id is ignored.
+  ProducerState& ps = producer_state(msg.producer);
+  auto& produced = ps.produced;
+  const auto pos = std::lower_bound(
+      produced.begin(), produced.end(), msg.id,
+      [](const OwnedMessage& o, workload::MessageId v) { return o.id < v; });
+  if (pos == produced.end() || pos->id != msg.id) {
+    produced.insert(pos, OwnedMessage{msg.id, std::move(ref),
+                                      config_.copy_limit});
   }
   ps.expiry.add(msg.expiry(), msg.id);
 }
@@ -89,32 +150,25 @@ void BsubProtocol::purge(trace::NodeId node, util::Time now) {
   CarrierState* cs = carrier_[node].get();
   if (config_.reference_contact_path) {
     if (ps != nullptr) {
-      std::erase_if(ps->produced, [now](const auto& kv) {
-        return kv.second.msg->expired_at(now);
+      std::erase_if(ps->produced, [now](const OwnedMessage& o) {
+        return o.msg->expired_at(now);
       });
     }
     if (cs != nullptr) cs->carried.purge_expired_scan(now);
     return;
   }
   // Fast path: the expiry index proves in O(1) that nothing in produced
-  // expired since the last purge; otherwise only the due ids are visited
-  // (entries for messages that already left via copy exhaustion are stale
-  // and skipped). Neither path clears the falsely_injected flags of
-  // expired copies: a stale flag is never read (see CarrierState).
+  // expired since the last purge; otherwise only the due ids are looked up
+  // and erased (entries for messages that already left via copy exhaustion
+  // are stale and skipped). Neither path clears the falsely_injected flags
+  // of expired copies: a stale flag is never read (see CarrierState).
   auto& hp = collector_->hot_path();
   if (ps != nullptr) {
-    sim::ExpiryIndex& idx = ps->expiry;
-    if (!idx.due(now)) {
+    if (!ps->expiry.due(now)) {
       ++hp.purge_scans_skipped;
     } else {
       ++hp.purge_scans_run;
-      auto& buffer = ps->produced;
-      idx.pop_due(now, [&](workload::MessageId id) {
-        auto it = buffer.find(id);
-        if (it != buffer.end() && it->second.msg->expired_at(now)) {
-          buffer.erase(it);
-        }
-      });
+      sim::erase_due(ps->produced, ps->expiry, now);
     }
   }
   if (cs != nullptr) cs->carried.purge_expired(now);
@@ -125,6 +179,7 @@ void BsubProtocol::build_filter_cache(NodeFilterCache& fc,
   // A node's interest set is fixed for the whole run, so its interest
   // report, genuine filter, and their exact wire sizes are run constants.
   fc.report = interests_->make_report(workload_->interests_of(node));
+  fc.report_keys = report_key_mask(fc.report, key_indices_);
   fc.report_bytes = bloom::encoded_bloom_wire_size(fc.report);
   fc.genuine = interests_->make_genuine(workload_->interests_of(node));
   fc.genuine_bytes = bloom::encoded_tcbf_wire_size(
@@ -316,21 +371,38 @@ void BsubProtocol::forward_between_brokers(trace::NodeId from,
   };
   CarrierState* cs_from = carrier_[from].get();
   if (cs_from == nullptr) return;  // never carried anything: nothing to move
-  std::vector<Candidate> ranked;
+  // thread_local scratch: each batch worker reuses its own capacity.
+  thread_local std::vector<Candidate> ranked;
+  thread_local KeyMemo<double> pref_memo;
+  ranked.clear();
   const bool ref_path = config_.reference_contact_path;
+  if (!ref_path) pref_memo.begin(workload_->keys().size());
+  std::uint64_t visited = 0;
+  std::uint64_t probes = 0;
   for (const auto& [id, msg] : cs_from->carried) {
+    ++visited;
     if (msg->producer == to) continue;
     if (carries_or_carried(to, id)) continue;
-    // Fast path: preferential query over the interned bit positions (no
-    // re-deriving k indices per filter). Bit-identical to the hash-pair
-    // overload the reference path keeps exercising.
-    const double pref =
-        ref_path
-            ? bloom::preference(filter_to, filter_from, key_hash(msg->key))
-            : bloom::preference_at(filter_to, filter_from,
-                                   key_indices(msg->key));
+    // Fast path: one preferential query per distinct key over the interned
+    // bit positions; neither filter changes while ranking, so the value is
+    // the same for every copy of the key. Bit-identical to the hash-pair
+    // overload the reference path keeps exercising per message.
+    double pref;
+    if (ref_path) {
+      ++probes;
+      pref = bloom::preference(filter_to, filter_from, key_hash(msg->key));
+    } else {
+      pref = pref_memo.get(msg->key, [&] {
+        ++probes;
+        return bloom::preference_at(filter_to, filter_from,
+                                    key_indices(msg->key));
+      });
+    }
     if (pref > 0.0) ranked.push_back({pref, id});
   }
+  auto& hp = collector_->hot_path();
+  if (visited != 0) hp.ranking_entries_scanned += visited;
+  if (probes != 0) hp.filter_probes += probes;
   std::sort(ranked.begin(), ranked.end(), [](const Candidate& x,
                                              const Candidate& y) {
     return std::tie(y.pref, x.id) < std::tie(x.pref, y.id);  // pref desc
@@ -360,12 +432,14 @@ void BsubProtocol::forward_between_brokers(trace::NodeId from,
 void BsubProtocol::direct_delivery(trace::NodeId from, trace::NodeId to,
                                    util::Time now, sim::Link& link) {
   // The consumer side reports a counter-less BF of its interests. Interests
-  // are static per run, so the fast path reuses the cached report and its
-  // exact wire size; the reference path rebuilds and re-encodes per contact.
-  // Only the reference path owns a filter here, so the fast path allocates
-  // nothing per call.
+  // are static per run, so the fast path reuses the cached report, its
+  // exact wire size and its per-key verdicts; the reference path rebuilds
+  // and re-encodes per contact and probes the filter per message. Only the
+  // reference path owns a filter here, so the fast path allocates nothing
+  // per call.
   std::optional<bloom::BloomFilter> ref_report;
   const bloom::BloomFilter* report = nullptr;
+  const util::DenseIdSet* report_keys = nullptr;
   std::size_t report_bytes = 0;
   if (config_.reference_contact_path) {
     ref_report = interests_->make_report(workload_->interests_of(to));
@@ -373,41 +447,48 @@ void BsubProtocol::direct_delivery(trace::NodeId from, trace::NodeId to,
     report = &*ref_report;
   } else {
     const NodeFilterCache& fc = node_filters(to);
-    report = &fc.report;
+    report_keys = &fc.report_keys;
     report_bytes = fc.report_bytes;
   }
   if (!link.try_send(report_bytes)) return;
   collector_->record_control_bytes(report_bytes);
 
   const bool fast = !config_.reference_contact_path;
+  std::uint64_t visited = 0;
+  std::uint64_t probes = 0;
 
-  // Returns false when the link budget is exhausted; sets `accepted` when
-  // the consumer's true interest matches (it keeps the message and acks).
-  // `falsely_fn` defers the false-injection lookup to the (rare) moment a
-  // delivery actually happens; probes that miss pay nothing for it.
-  auto try_deliver = [&](const workload::Message& msg, auto&& falsely_fn,
-                         bool& accepted) -> bool {
-    accepted = false;
+  // Returns false when the link budget is exhausted. `falsely_fn` defers
+  // the false-injection lookup to the (rare) moment a delivery actually
+  // happens; probes that miss pay nothing for it.
+  auto try_deliver = [&](const workload::Message& msg,
+                         auto&& falsely_fn) -> bool {
     if (msg.producer == to) return true;
-    // Interned per-key bit positions on the fast path: same bits, no
-    // per-probe index derivation.
-    const bool hit = fast ? report->contains_at(key_indices(msg.key))
-                          : report->contains(key_hash(msg.key));
+    // Fast path: the report's verdict for the key, precomputed over the
+    // interned bit positions (report_key_mask) — one bit test.
+    bool hit;
+    if (fast) {
+      hit = report_keys->contains(msg.key);
+    } else {
+      ++probes;
+      hit = report->contains(key_hash(msg.key));
+    }
     if (!hit) return true;
     if (collector_->delivered(msg.id, to)) return true;
     if (!link.try_send(msg.size_bytes)) return false;
     collector_->record_forwarding(msg);
     traffic_deliveries_.fetch_add(1, std::memory_order_relaxed);
-    accepted = workload_->is_interested(to, msg.key);
-    collector_->record_delivery(msg, to, now, accepted, falsely_fn());
+    collector_->record_delivery(msg, to, now,
+                                workload_->is_interested(to, msg.key),
+                                falsely_fn());
     return true;
   };
 
-  bool accepted = false;
-  auto not_falsely = [] { return false; };
+  bool open = true;  // false once the link budget runs out
   if (const ProducerState* ps = producer_[from].get()) {
-    for (const auto& [id, owned] : ps->produced) {
-      if (!try_deliver(*owned.msg, not_falsely, accepted)) return;
+    auto not_falsely = [] { return false; };
+    for (const OwnedMessage& owned : ps->produced) {
+      ++visited;
+      if (!(open = try_deliver(*owned.msg, not_falsely))) break;
     }
   }
   // Carried copies stay in custody after a delivery so one replica can
@@ -417,28 +498,42 @@ void BsubProtocol::direct_delivery(trace::NodeId from, trace::NodeId to,
   // still routes the key (section V-C's delivery tree). Demoted ex-brokers
   // have no relay authority anymore; they serve their leftover copies
   // ungated until TTL (they cannot acquire new ones).
-  CarrierState* cs = carrier_[from].get();
-  if (cs == nullptr) return;  // never carried: nothing more to offer
-  const bloom::Tcbf* relay = nullptr;
-  if (config_.relay_gated_delivery && !cs->carried.empty() &&
-      election_->is_broker(from)) {
-    relay = &interests_->relay(from, now);
-  }
-  for (const auto& [id, msg] : cs->carried) {
-    if (fast) {
-      if (relay != nullptr && !relay->contains_at(key_indices(msg->key))) {
-        continue;
+  CarrierState* cs = open ? carrier_[from].get() : nullptr;
+  if (cs != nullptr) {
+    const bloom::Tcbf* relay = nullptr;
+    if (config_.relay_gated_delivery && !cs->carried.empty() &&
+        election_->is_broker(from)) {
+      relay = &interests_->relay(from, now);
+    }
+    // Fast path: the relay gate is probed once per distinct key. Nothing
+    // in this loop touches a filter, so every copy of a key shares the
+    // verdict of its first.
+    thread_local KeyMemo<bool> gate;
+    if (fast && relay != nullptr) gate.begin(workload_->keys().size());
+    for (const auto& [id, msg] : cs->carried) {
+      ++visited;
+      if (relay != nullptr) {
+        bool routed;
+        if (fast) {
+          routed = gate.get(msg->key, [&, &msg = msg] {
+            ++probes;
+            return relay->contains_at(key_indices(msg->key));
+          });
+        } else {
+          ++probes;
+          routed = relay->contains(key_hash(msg->key));
+        }
+        if (!routed) continue;
       }
       auto falsely = [&, &id = id] {
         return cs->falsely_injected.contains(id);
       };
-      if (!try_deliver(*msg, falsely, accepted)) return;
-    } else {
-      if (relay != nullptr && !relay->contains(key_hash(msg->key))) continue;
-      const bool fi = cs->falsely_injected.contains(id);
-      if (!try_deliver(*msg, [fi] { return fi; }, accepted)) return;
+      if (!try_deliver(*msg, falsely)) break;
     }
   }
+  auto& hp = collector_->hot_path();
+  if (visited != 0) hp.delivery_entries_scanned += visited;
+  if (probes != 0) hp.filter_probes += probes;
 }
 
 void BsubProtocol::propagate_interest(trace::NodeId consumer,
@@ -522,39 +617,61 @@ void BsubProtocol::broker_pickup(trace::NodeId producer, trace::NodeId broker,
 
   ProducerState* ps = producer_[producer].get();
   if (ps == nullptr) return;  // never produced: nothing to pick up
-  for (auto it = ps->produced.begin(); it != ps->produced.end();) {
-    OwnedMessage& owned = it->second;
+  // Fast path: the relay gate is probed once per distinct key (the relay
+  // is not touched inside the loop; the ground-truth lookup below only
+  // reads the shadow, already decayed to `now`). Exhausted entries are
+  // compacted out in place: `out` trails `in` once the first one goes.
+  thread_local KeyMemo<bool> gate;
+  if (!ref_path) gate.begin(workload_->keys().size());
+  std::uint64_t visited = 0;
+  std::uint64_t probes = 0;
+  auto& produced = ps->produced;
+  auto in = produced.begin();
+  auto out = in;
+  for (; in != produced.end(); ++in) {
+    ++visited;
+    OwnedMessage& owned = *in;
     const workload::Message& msg = *owned.msg;
-    const bool relay_hit = ref_path ? relay_bf->contains(key_hash(msg.key))
-                                    : relay.contains_at(key_indices(msg.key));
-    if (owned.copies_left == 0 || carries_or_carried(broker, msg.id) ||
-        !relay_hit) {
-      ++it;
-      continue;
-    }
-    if (!link.try_send(msg.size_bytes)) break;
-    collector_->record_forwarding(msg);
-    traffic_pickups_.fetch_add(1, std::memory_order_relaxed);
-    CarrierState& cs = carrier_state(broker);
+    const bool eligible =
+        owned.copies_left != 0 && !carries_or_carried(broker, msg.id);
+    bool relay_hit;
     if (ref_path) {
-      cs.carried.add(msg);  // naive deep copy into the broker buffer
+      ++probes;
+      relay_hit = relay_bf->contains(key_hash(msg.key));
     } else {
-      cs.carried.add(owned.msg);  // share the producer's payload
+      relay_hit = eligible && gate.get(msg.key, [&] {
+        ++probes;
+        return relay.contains_at(key_indices(msg.key));
+      });
     }
-    cs.carried_ever.insert(msg.id);
-    // Ground truth: a pickup whose key the relay never genuinely absorbed is
-    // a false injection (Bloom false positive of the relay filter).
-    if (!interests_->genuinely_contains(broker, msg.key, now)) {
-      cs.falsely_injected.insert(msg.id);
-      false_injections_.fetch_add(1, std::memory_order_relaxed);
-    }
-    if (--owned.copies_left == 0) {
+    if (eligible && relay_hit) {
+      if (!link.try_send(msg.size_bytes)) break;
+      collector_->record_forwarding(msg);
+      traffic_pickups_.fetch_add(1, std::memory_order_relaxed);
+      CarrierState& cs = carrier_state(broker);
+      if (ref_path) {
+        cs.carried.add(msg);  // naive deep copy into the broker buffer
+      } else {
+        cs.carried.add(owned.msg);  // share the producer's payload
+      }
+      cs.carried_ever.insert(msg.id);
+      // Ground truth: a pickup whose key the relay never genuinely absorbed
+      // is a false injection (Bloom false positive of the relay filter).
+      if (!interests_->genuinely_contains(broker, msg.key, now)) {
+        cs.falsely_injected.insert(msg.id);
+        false_injections_.fetch_add(1, std::memory_order_relaxed);
+      }
       // Copy budget exhausted: the producer forgets the message (V-D).
-      it = ps->produced.erase(it);
-    } else {
-      ++it;
+      if (--owned.copies_left == 0) continue;
     }
+    if (out != in) *out = std::move(*in);
+    ++out;
   }
+  if (out != in) produced.erase(std::move(in, produced.end(), out),
+                                produced.end());
+  auto& hp = collector_->hot_path();
+  if (visited != 0) hp.pickup_entries_scanned += visited;
+  if (probes != 0) hp.filter_probes += probes;
 }
 
 void BsubProtocol::on_end(util::Time /*now*/) {

@@ -36,6 +36,14 @@
 
 namespace bsub::core {
 
+/// The keys of a run's universe that a counter-less interest report answers
+/// present: bit k is set iff report.contains_at(key_indices[k]), where
+/// key_indices[k] are key k's bit positions for the report's params. A
+/// report is static for a run, so this mask answers every later membership
+/// probe of a key with one bit test — the same function of the same inputs.
+util::DenseIdSet report_key_mask(const bloom::BloomFilter& report,
+                                 std::span<const util::IndexArray> key_indices);
+
 class BsubProtocol final : public sim::Protocol {
  public:
   explicit BsubProtocol(BsubConfig config = {});
@@ -97,6 +105,7 @@ class BsubProtocol final : public sim::Protocol {
 
  private:
   struct OwnedMessage {
+    workload::MessageId id;
     sim::MessageRef msg;  ///< borrowed from the workload's message table
     std::uint32_t copies_left;
   };
@@ -105,11 +114,13 @@ class BsubProtocol final : public sim::Protocol {
   /// that actually produce pay for the buffer + expiry index; everyone else
   /// costs one null pointer. A null entry reads as an empty buffer.
   struct ProducerState {
-    /// Messages this node produced, with remaining broker-copy budget.
-    std::map<workload::MessageId, OwnedMessage> produced;
+    /// Messages this node produced, with remaining broker-copy budget,
+    /// sorted by id. Ids arrive in creation order, so a publication is an
+    /// append; broker_pickup compacts exhausted entries out in place.
+    std::vector<OwnedMessage> produced;
     /// Expiry index over `produced` (fast path): purge pops only due
-    /// entries instead of scanning the whole buffer. Entries go stale when
-    /// a message leaves early (copy budget exhausted), skipped lazily.
+    /// entries and erases just those ids. Entries go stale when a message
+    /// leaves early (copy budget exhausted), skipped lazily.
     sim::ExpiryIndex expiry;
   };
 
@@ -139,6 +150,9 @@ class BsubProtocol final : public sim::Protocol {
   /// every later contact reuses them (an encode-cache hit).
   struct NodeFilterCache {
     bloom::BloomFilter report;
+    /// report_key_mask(report): the report's verdict for every KeyId, so
+    /// direct delivery tests one bit per message instead of k filter bits.
+    util::DenseIdSet report_keys;
     std::size_t report_bytes = 0;
     bloom::Tcbf genuine;
     std::size_t genuine_bytes = 0;

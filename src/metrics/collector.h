@@ -68,6 +68,18 @@ struct HotPathStats {
   std::uint64_t encode_cache_misses = 0;  ///< wire encodings recomputed
   std::uint64_t payload_copies_avoided = 0;  ///< buffered via shared payload
   std::uint64_t payload_copies_made = 0;     ///< buffered via deep copy
+  /// Buffered entries visited by B-SUB's per-contact scans: direct delivery
+  /// (produced + carried), broker pickup (produced), and the
+  /// broker-to-broker preference ranking (carried).
+  std::uint64_t delivery_entries_scanned = 0;
+  std::uint64_t pickup_entries_scanned = 0;
+  std::uint64_t ranking_entries_scanned = 0;
+  /// Bloom/TCBF key queries those scans actually issued (membership probes
+  /// and preferential queries). The reference path issues one per visited
+  /// entry; the fast path one per distinct key per scan, or none where a
+  /// precomputed per-key mask answers. The FPR instrumentation's absent-key
+  /// probes are not counted.
+  std::uint64_t filter_probes = 0;
 
   void merge(const HotPathStats& o) {
     purge_scans_skipped += o.purge_scans_skipped;
@@ -76,6 +88,10 @@ struct HotPathStats {
     encode_cache_misses += o.encode_cache_misses;
     payload_copies_avoided += o.payload_copies_avoided;
     payload_copies_made += o.payload_copies_made;
+    delivery_entries_scanned += o.delivery_entries_scanned;
+    pickup_entries_scanned += o.pickup_entries_scanned;
+    ranking_entries_scanned += o.ranking_entries_scanned;
+    filter_probes += o.filter_probes;
   }
 };
 
@@ -142,12 +158,22 @@ struct HotPathCounters {
   RelaxedCounter encode_cache_misses;
   RelaxedCounter payload_copies_avoided;
   RelaxedCounter payload_copies_made;
+  RelaxedCounter delivery_entries_scanned;
+  RelaxedCounter pickup_entries_scanned;
+  RelaxedCounter ranking_entries_scanned;
+  RelaxedCounter filter_probes;
 
   HotPathStats snapshot() const {
-    return HotPathStats{purge_scans_skipped.load(), purge_scans_run.load(),
-                        encode_cache_hits.load(),   encode_cache_misses.load(),
+    return HotPathStats{purge_scans_skipped.load(),
+                        purge_scans_run.load(),
+                        encode_cache_hits.load(),
+                        encode_cache_misses.load(),
                         payload_copies_avoided.load(),
-                        payload_copies_made.load()};
+                        payload_copies_made.load(),
+                        delivery_entries_scanned.load(),
+                        pickup_entries_scanned.load(),
+                        ranking_entries_scanned.load(),
+                        filter_probes.load()};
   }
 };
 

@@ -8,9 +8,13 @@
 // deep-copying it per holder.
 //
 // TTL purging rides the ExpiryIndex fast path: `purge_expired` is O(1) when
-// nothing registered has expired, and touches only expired entries
-// otherwise. `purge_expired_scan` retains the naive full-scan reference for
-// differential testing; both report how many messages were dropped.
+// nothing registered has expired. Otherwise it pops the due (expiry, id)
+// pairs and erases exactly those ids that are still buffered and expired —
+// one binary search per due id and one compaction of the tail behind the
+// first dropped entry; no other payload is dereferenced. Due ids that left
+// earlier (stale heap entries) are skipped. `purge_expired_scan` retains the
+// naive full-scan reference for differential testing; both report how many
+// messages were dropped.
 #pragma once
 
 #include <algorithm>
@@ -32,6 +36,41 @@ using MessageRef = std::shared_ptr<const workload::Message>;
 /// protocols can share its entries without a copy or a refcount allocation.
 inline MessageRef borrow_message(const workload::Message& msg) {
   return MessageRef(MessageRef{}, &msg);
+}
+
+/// Pops every id `expiry` holds due at `now` and erases from `entries` — a
+/// vector sorted by a unique `id` field, each entry carrying its payload in
+/// `msg` — exactly the due ids still present whose payload has expired.
+/// Stale due ids (the entry left earlier) are skipped. Only the due ids are
+/// looked up and only their payloads dereferenced; the kept entries behind
+/// the first drop are moved down once. Returns how many entries it erased.
+template <class Entry>
+std::size_t erase_due(std::vector<Entry>& entries, ExpiryIndex& expiry,
+                      util::Time now) {
+  thread_local std::vector<workload::MessageId> due;
+  due.clear();
+  expiry.pop_due(now, [](workload::MessageId id) { due.push_back(id); });
+  std::sort(due.begin(), due.end());
+  const auto end = entries.end();
+  auto in = entries.begin();  // first entry not yet kept or dropped
+  auto out = in;              // where the next kept entry belongs
+  bool dropped_any = false;
+  for (const workload::MessageId id : due) {
+    const auto pos = std::lower_bound(
+        in, end, id, [](const Entry& e, workload::MessageId v) {
+          return e.id < v;
+        });
+    if (pos == end) break;
+    if (pos->id != id || !pos->msg->expired_at(now)) continue;
+    out = dropped_any ? std::move(in, pos, out) : pos;
+    dropped_any = true;
+    in = pos + 1;
+  }
+  if (!dropped_any) return 0;
+  out = std::move(in, end, out);
+  const std::size_t dropped = static_cast<std::size_t>(end - out);
+  entries.erase(out, end);
+  return dropped;
 }
 
 class MessageStore {
@@ -87,23 +126,15 @@ class MessageStore {
   }
 
   /// Drops messages whose TTL has elapsed at `now`; returns how many.
-  /// O(1) when the expiry index proves nothing expired since the last call.
+  /// O(1) when the expiry index proves nothing expired since the last call;
+  /// otherwise looks up only the ids the index reports due (erase_due).
   std::size_t purge_expired(util::Time now) {
     if (!expiry_.due(now)) {
       ++stats_.purges_skipped;
       return 0;
     }
     ++stats_.purges_scanned;
-    bool any_live = false;
-    expiry_.pop_due(now, [&](workload::MessageId id) {
-      auto it = lower_bound(id);
-      any_live |= it != entries_.end() && it->id == id;
-    });
-    if (!any_live) return 0;  // only stale entries (removed earlier) were due
-    const std::size_t before = entries_.size();
-    std::erase_if(entries_,
-                  [now](const Entry& e) { return e.msg->expired_at(now); });
-    return before - entries_.size();
+    return erase_due(entries_, expiry_, now);
   }
 
   /// Naive full-scan purge — the retained reference the differential test

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
-#include <set>
+#include <cstdint>
 #include <tuple>
 #include <utility>
 
@@ -61,15 +61,28 @@ std::vector<std::size_t> ContactTrace::degrees() const {
 
 std::vector<std::size_t> ContactTrace::degrees_in_window(
     util::Time from, util::Time to) const {
-  std::vector<std::set<NodeId>> peers(node_count_);
-  for (const Contact& c : contacts_) {
-    if (c.start >= to) break;  // contacts sorted by start
-    if (c.start < from) continue;
-    peers[c.a].insert(c.b);
-    peers[c.b].insert(c.a);
+  // Distinct (min, max) peer pairs met in the window, packed into one word
+  // each and deduplicated by sort + unique; each surviving pair adds one
+  // to both endpoints' degree. Contacts are sorted by start, so the window
+  // is one contiguous run of them.
+  const auto first = std::partition_point(
+      contacts_.begin(), contacts_.end(),
+      [from](const Contact& c) { return c.start < from; });
+  const auto last = std::partition_point(
+      first, contacts_.end(), [to](const Contact& c) { return c.start < to; });
+  std::vector<std::uint64_t> pairs;
+  pairs.reserve(static_cast<std::size_t>(last - first));
+  for (auto it = first; it != last; ++it) {
+    const auto [lo, hi] = std::minmax(it->a, it->b);
+    pairs.push_back(static_cast<std::uint64_t>(lo) << 32 | hi);
   }
-  std::vector<std::size_t> deg(node_count_);
-  for (std::size_t i = 0; i < node_count_; ++i) deg[i] = peers[i].size();
+  std::sort(pairs.begin(), pairs.end());
+  pairs.erase(std::unique(pairs.begin(), pairs.end()), pairs.end());
+  std::vector<std::size_t> deg(node_count_, 0);
+  for (const std::uint64_t p : pairs) {
+    ++deg[p >> 32];
+    ++deg[p & 0xffffffffu];
+  }
   return deg;
 }
 

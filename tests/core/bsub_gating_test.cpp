@@ -3,6 +3,8 @@
 // false-injection flag riding a copy's custody.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "core/bsub_protocol.h"
 #include "sim/simulator.h"
 #include "testing/scenario.h"
@@ -39,6 +41,13 @@ struct Harness {
     sim::Link link(util::kHour, 1e9);
     proto.on_contact(a, b, from_minutes(minute), util::kHour, link);
   }
+
+  /// A meeting whose link moves at most `bytes` in total.
+  void meet_with_budget(trace::NodeId a, trace::NodeId b, double minute,
+                        double bytes) {
+    sim::Link link(util::kSecond, bytes);
+    proto.on_contact(a, b, from_minutes(minute), util::kSecond, link);
+  }
 };
 
 BsubConfig pinned(double df, bool gating) {
@@ -72,6 +81,46 @@ TEST(RelayGating, FreshRouteDelivers) {
   h.meet(0, 1, 10.0);
   h.meet(1, 2, 30.0);  // relay still holds the key (counter ~21)
   EXPECT_EQ(h.collector.results().interested_deliveries, 1u);
+}
+
+TEST(RelayGating, OneVerdictCoversEveryCopyOfAKey) {
+  // Broker 1 carries three copies of key 0. The relay gate is one verdict
+  // per key for the whole scan: shut, no copy is offered; open, every copy
+  // is offered, lowest id first.
+  constexpr std::uint32_t kBody = 10000;
+  for (const bool reference : {false, true}) {
+    for (const bool open : {false, true}) {
+      SCOPED_TRACE(std::string(reference ? "reference" : "fast") +
+                   (open ? " path, gate open" : " path, gate shut"));
+      BsubConfig cfg = pinned(/*df=*/1.0, /*gating=*/true);
+      cfg.reference_contact_path = reference;
+      Harness h(3, {1, 1, 0},
+                {make_message(0, 0, 0, util::kDay, kBody),
+                 make_message(0, 0, 1, util::kDay, kBody),
+                 make_message(0, 0, 2, util::kDay, kBody)},
+                cfg);
+      h.proto.election_mutable().set_broker(1, true);
+      h.meet(2, 1, 1.0);   // consumer primes broker (~50 min route)
+      h.meet(0, 1, 10.0);  // all three copies picked up
+      ASSERT_EQ(h.proto.traffic().pickups, 3u);
+      std::vector<workload::MessageId> ids;
+      for (const auto& m : h.workload.messages()) ids.push_back(m.id);
+
+      if (!open) {
+        h.meet(1, 2, 80.0);  // route decayed at t=51: every copy muted
+        EXPECT_EQ(h.proto.traffic().deliveries, 0u);
+        continue;
+      }
+      // Room for two bodies: the two lowest ids go first.
+      h.meet_with_budget(1, 2, 30.0, 2.5 * kBody);
+      EXPECT_TRUE(h.collector.delivered(ids[0], 2));
+      EXPECT_TRUE(h.collector.delivered(ids[1], 2));
+      EXPECT_FALSE(h.collector.delivered(ids[2], 2));
+      h.meet(1, 2, 31.0);  // and the last one on the next meeting
+      EXPECT_TRUE(h.collector.delivered(ids[2], 2));
+      EXPECT_EQ(h.proto.traffic().deliveries, 3u);
+    }
+  }
 }
 
 TEST(RelayGating, DisablingGatingRestoresDelivery) {

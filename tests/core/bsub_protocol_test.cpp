@@ -4,6 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <set>
+#include <string>
+
 #include "core/protocol_registry.h"
 #include "sim/simulator.h"
 #include "testing/scenario.h"
@@ -55,6 +59,13 @@ struct Harness {
   void meet(trace::NodeId a, trace::NodeId b, double minute) {
     sim::Link link = big_link();
     proto.on_contact(a, b, from_minutes(minute), util::kHour, link);
+  }
+
+  /// A meeting whose link moves at most `bytes` in total.
+  void meet_with_budget(trace::NodeId a, trace::NodeId b, double minute,
+                        double bytes) {
+    sim::Link link(util::kSecond, bytes);
+    proto.on_contact(a, b, from_minutes(minute), util::kSecond, link);
   }
 };
 
@@ -130,6 +141,109 @@ TEST(BsubProtocol, CopyLimitBoundsBrokerReplicas) {
   EXPECT_EQ(h.collector.results().interested_deliveries, 0u);
   h.meet(1, 4, 30.0);
   EXPECT_EQ(h.collector.results().interested_deliveries, 1u);
+}
+
+TEST(BsubProtocol, PickupCutByTheLinkKeepsTheProducerBufferInIdOrder) {
+  // Producer 0 holds five key-0 messages of 10 kB each; brokers 1 and 2 are
+  // primed for key 0. A link that fits only some bodies stops the pickup
+  // scan mid-buffer: exhausted entries must leave the producer, every
+  // other entry must stay, and the buffer must stay in id order.
+  for (const bool reference : {false, true}) {
+    SCOPED_TRACE(reference ? "reference contact path" : "fast contact path");
+    BsubConfig cfg = pinned_roles_config();
+    cfg.copy_limit = 2;
+    cfg.reference_contact_path = reference;
+    constexpr std::uint32_t kBody = 10000;
+    std::vector<workload::Message> msgs;
+    for (int i = 0; i < 5; ++i) {
+      msgs.push_back(make_message(0, 0, from_minutes(i), util::kDay, kBody));
+    }
+    // Nodes: 0 producer, 1 and 2 brokers, 3 and 4 consumers of key 0.
+    Harness h(5, {1, 1, 1, 0, 0}, std::move(msgs), cfg);
+    h.proto.election_mutable().set_broker(1, true);
+    h.proto.election_mutable().set_broker(2, true);
+    h.create_all_messages();
+    std::vector<workload::MessageId> ids;
+    for (const auto& m : h.workload.messages()) ids.push_back(m.id);
+    h.meet(3, 1, 5.0);  // prime both brokers with key 0
+    h.meet(3, 2, 5.0);
+
+    // One body fits: broker 1 takes ids[0] (one copy left), then the scan
+    // breaks at ids[1].
+    h.meet_with_budget(0, 1, 10.0, 1.5 * kBody);
+    ASSERT_EQ(h.proto.traffic().pickups, 1u);
+    // Two bodies fit: broker 2 takes ids[0] (exhausted: it leaves the
+    // producer) and ids[1] (one copy left), then breaks at ids[2].
+    h.meet_with_budget(0, 2, 11.0, 2.5 * kBody);
+    ASSERT_EQ(h.proto.traffic().pickups, 3u);
+
+    // Direct delivery walks the producer buffer: everything but the
+    // exhausted ids[0] is still there.
+    h.meet(0, 4, 12.0);
+    EXPECT_FALSE(h.collector.delivered(ids[0], 4));
+    for (std::size_t i = 1; i < ids.size(); ++i) {
+      EXPECT_TRUE(h.collector.delivered(ids[i], 4)) << "id " << ids[i];
+    }
+    // ...in id order: a link that fits one body delivers the lowest id.
+    h.meet_with_budget(0, 3, 13.0, 1.5 * kBody);
+    EXPECT_TRUE(h.collector.delivered(ids[1], 3));
+    for (std::size_t i = 2; i < ids.size(); ++i) {
+      EXPECT_FALSE(h.collector.delivered(ids[i], 3)) << "id " << ids[i];
+    }
+  }
+}
+
+TEST(BsubProtocol, ReportKeyMaskMatchesFilterProbesForEveryInterestSet) {
+  // A 100-key universe (the mask spans two words) and a small filter, so
+  // reports also answer some unsubscribed keys by Bloom false positive:
+  // the mask must reproduce the filter's verdict, not the interest set.
+  std::vector<workload::KeyInfo> infos;
+  for (int k = 0; k < 100; ++k) {
+    infos.push_back({"key-" + std::to_string(k), 0.01});
+  }
+  const workload::KeySet keys(std::move(infos));
+  trace::SyntheticTraceConfig tcfg;
+  tcfg.node_count = 60;
+  tcfg.contact_count = 600;
+  tcfg.duration = util::kDay;
+  tcfg.seed = 5;
+  const trace::ContactTrace t = trace::generate_trace(tcfg);
+  workload::WorkloadConfig wcfg;
+  wcfg.interests_per_node = 3;
+  const workload::Workload w(t, keys, wcfg);
+
+  const bloom::BloomParams params{64, 3};
+  std::vector<util::IndexArray> key_indices;
+  for (workload::KeyId k = 0; k < keys.size(); ++k) {
+    key_indices.push_back(util::bloom_indices(keys.hash(k), params.k,
+                                              params.m));
+  }
+  std::set<std::vector<workload::KeyId>> sets;
+  for (trace::NodeId n = 0; n < w.node_count(); ++n) {
+    const auto span = w.interests_of(n);
+    std::vector<workload::KeyId> set(span.begin(), span.end());
+    std::sort(set.begin(), set.end());
+    sets.insert(set);
+  }
+  ASSERT_GT(sets.size(), 10u);
+  bool high_word_hit = false;
+  bool false_positive_seen = false;
+  for (const auto& set : sets) {
+    bloom::BloomFilter report(params);
+    for (workload::KeyId k : set) report.insert(keys.hash(k));
+    const util::DenseIdSet mask = report_key_mask(report, key_indices);
+    for (workload::KeyId k = 0; k < keys.size(); ++k) {
+      const bool probe = report.contains(keys.hash(k));
+      ASSERT_EQ(mask.contains(k), probe) << "key " << k;
+      ASSERT_EQ(mask.contains(k), report.contains_at(key_indices[k]));
+      high_word_hit |= probe && k >= 64;
+      false_positive_seen |=
+          probe && !std::binary_search(set.begin(), set.end(), k);
+    }
+    EXPECT_FALSE(mask.contains(keys.size()));  // past the universe
+  }
+  EXPECT_TRUE(high_word_hit);
+  EXPECT_TRUE(false_positive_seen);
 }
 
 TEST(BsubProtocol, DirectDeliveryDoesNotConsumeCopies) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 namespace bsub::sim {
 namespace {
 
@@ -148,6 +150,66 @@ TEST(MessageStore, StaleHeapEntriesDoNotDropLiveMessages) {
   const std::uint64_t skipped_before = s.stats().purges_skipped;
   s.purge_expired(util::kMinute);
   EXPECT_EQ(s.stats().purges_skipped, skipped_before + 1);
+}
+
+TEST(MessageStore, PurgeKeepsAnUnexpiredEntryBetweenExpiredOnes) {
+  MessageStore s;
+  s.add(msg(1, 0, util::kMinute));
+  s.add(msg(2, 0, util::kHour));  // between two expiring ids, lives on
+  s.add(msg(3, 0, util::kMinute));
+  s.add(msg(4, 0, util::kHour));
+  EXPECT_EQ(s.purge_expired(util::kMinute), 2u);
+  std::vector<workload::MessageId> left;
+  for (const auto& e : s) left.push_back(e.id);
+  EXPECT_EQ(left, (std::vector<workload::MessageId>{2, 4}));
+}
+
+TEST(MessageStore, PurgeSkipsStaleEntriesAndCountsOnlyRealDrops) {
+  // Ids 1..4 all expire at the same instant; 2 and 4 left the store early,
+  // so their heap entries are stale. Id 3 was removed and re-added, so it
+  // has two heap entries, and must still count once.
+  MessageStore s;
+  for (workload::MessageId id = 1; id <= 5; ++id) {
+    s.add(msg(id, 0, id == 5 ? util::kHour : util::kMinute));
+  }
+  s.remove(2);
+  s.remove(4);
+  s.remove(3);
+  s.add(msg(3, 0, util::kMinute));
+  EXPECT_EQ(s.purge_expired(util::kMinute), 2u);  // ids 1 and 3
+  std::vector<workload::MessageId> left;
+  for (const auto& e : s) left.push_back(e.id);
+  EXPECT_EQ(left, (std::vector<workload::MessageId>{5}));
+  // Only stale entries were due at this instant: nothing more to drop.
+  s.remove(5);
+  EXPECT_EQ(s.purge_expired(util::kHour), 0u);
+  EXPECT_TRUE(s.empty());
+}
+
+TEST(MessageStore, EraseDueWorksOnAnySortedEntryVector) {
+  // The helper the B-SUB producer buffer shares with the store.
+  struct Owned {
+    workload::MessageId id;
+    MessageRef msg;
+    int extra;
+  };
+  std::vector<workload::Message> table;
+  for (workload::MessageId id = 0; id < 6; ++id) {
+    table.push_back(msg(id, 0, id % 2 == 0 ? util::kMinute : util::kHour));
+  }
+  std::vector<Owned> entries;
+  ExpiryIndex expiry;
+  for (const auto& m : table) {
+    entries.push_back({m.id, borrow_message(m), static_cast<int>(m.id)});
+    expiry.add(m.expiry(), m.id);
+  }
+  EXPECT_EQ(erase_due(entries, expiry, util::kMinute), 3u);
+  ASSERT_EQ(entries.size(), 3u);
+  for (std::size_t i = 0; i < entries.size(); ++i) {
+    EXPECT_EQ(entries[i].id, 2 * i + 1);
+    EXPECT_EQ(entries[i].extra, static_cast<int>(2 * i + 1));
+  }
+  EXPECT_FALSE(expiry.due(util::kMinute));
 }
 
 TEST(MessageStore, FastAndScanPurgeAgreeOnRandomizedModel) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+#include <utility>
 #include <vector>
 
 namespace bsub::trace {
@@ -101,6 +103,54 @@ TEST(ContactTrace, DegreesInWindowRespectsBounds) {
   EXPECT_EQ(deg[0], 1u);  // only contact with 1
   EXPECT_EQ(deg[1], 2u);  // 0 and 2
   EXPECT_EQ(deg[3], 0u);  // contact at 40min excluded
+}
+
+TEST(ContactTrace, DegreesInWindowMatchBruteForceSets) {
+  // Random trace with repeated pairs, both endpoint orders and contacts
+  // starting exactly on window edges; compared against a per-node std::set
+  // of peers over [from, to).
+  constexpr std::size_t kNodes = 30;
+  std::uint64_t state = 0x243F6A8885A308D3ULL;
+  auto next = [&state] {
+    state ^= state << 13;
+    state ^= state >> 7;
+    state ^= state << 17;
+    return state;
+  };
+  std::vector<Contact> contacts;
+  for (int i = 0; i < 2000; ++i) {
+    Contact c;
+    c.a = static_cast<NodeId>(next() % kNodes);
+    c.b = static_cast<NodeId>(next() % kNodes);
+    c.start = static_cast<util::Time>(next() % 120) * kMinute;
+    c.end = c.start + kMinute;
+    contacts.push_back(c);
+  }
+  const ContactTrace t(kNodes, std::move(contacts));
+  auto brute = [&t](util::Time from, util::Time to) {
+    std::vector<std::set<NodeId>> peers(kNodes);
+    for (const Contact& c : t.contacts()) {
+      if (c.start < from || c.start >= to) continue;
+      peers[c.a].insert(c.b);
+      peers[c.b].insert(c.a);
+    }
+    std::vector<std::size_t> deg;
+    for (const auto& p : peers) deg.push_back(p.size());
+    return deg;
+  };
+  const std::pair<util::Time, util::Time> windows[] = {
+      {0, 120 * kMinute},           // everything
+      {10 * kMinute, 20 * kMinute}, // both edges land on contact starts
+      {10 * kMinute, 11 * kMinute}, // a single start instant
+      {30 * kMinute, 30 * kMinute}, // empty window
+      {119 * kMinute, 500 * kMinute},
+      {-kHour, 0},                  // ends where the first contacts start
+  };
+  for (const auto& [from, to] : windows) {
+    EXPECT_EQ(t.degrees_in_window(from, to), brute(from, to))
+        << "window [" << from << ", " << to << ")";
+  }
+  EXPECT_EQ(t.degrees(), brute(t.start_time(), t.end_time() + 1));
 }
 
 TEST(ContactTrace, ContactCounts) {
