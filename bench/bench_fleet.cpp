@@ -63,8 +63,8 @@ struct PointSpec {
   bool differential = false;  ///< loopback only
 };
 
-/// Flat POD subset of FleetRunResults (whose exec stats hold a vector and
-/// cannot cross the fork pipe as raw bytes) plus per-point RSS.
+/// Flat POD subset of FleetRunResults plus per-point RSS: what crosses the
+/// fork pipe as raw bytes.
 struct PointResult {
   engine::TraceRunResults protocol{};
   metrics::TransportStats transport{};
@@ -176,7 +176,6 @@ PointResult run_point(const PointSpec& spec) {
     net::FleetRuntime fleet(cfg);
     out.take(fleet.run_udp(scenario.trace, scenario.workload));
   } else {
-    cfg.threads = 2;
     net::FleetRuntime fleet(cfg);
     out.take(fleet.run_loopback(scenario.trace, scenario.workload));
     if (spec.differential) {

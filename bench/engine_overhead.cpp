@@ -37,11 +37,7 @@ int main() {
   core::BsubProtocol proto(sim_cfg);
   const metrics::RunResults sim_r = sim::Simulator().run(t, w, proto);
 
-  engine::NodeConfig node_cfg;
-  node_cfg.df_per_minute = sim_cfg.df_per_minute;
-  engine::TraceRunner runner(node_cfg,
-                             {sim_cfg.broker_lower, sim_cfg.broker_upper,
-                              sim_cfg.election_window});
+  engine::TraceRunner runner(sim_cfg);
   const engine::TraceRunResults eng_r = runner.run(t, w);
 
   const double contacts = static_cast<double>(t.contacts().size());

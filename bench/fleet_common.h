@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "core/df_tuning.h"
+#include "core/protocol_registry.h"
 #include "net/fleet/fleet_runtime.h"
 #include "trace/synthetic.h"
 #include "util/rng.h"
@@ -87,17 +88,18 @@ struct FleetScenario {
   }
 };
 
-/// FleetConfig for a scenario: a non-empty protocol spec is applied via
-/// fleet_config_from_spec (B-SUB only, adaptive rejected); an empty spec
-/// keeps the default config with the DF tuned against the materialized
-/// trace (Eq. 5). decay_tick is 0 throughout — the loopback engine
-/// requires it, and it keeps one config valid for both engines.
+/// FleetConfig for a scenario: a non-empty protocol spec becomes the node
+/// config via core::bsub_config_from_spec (B-SUB only; the engine refuses
+/// adaptive=1 when it builds the nodes); an empty spec keeps the default
+/// config with the DF tuned against the materialized trace (Eq. 5).
+/// decay_tick is 0 throughout — the loopback engine requires it, and it
+/// keeps one config valid for both engines.
 inline net::FleetConfig make_fleet_config(const FleetScenario& scenario,
                                           const std::string& protocol_spec) {
   net::FleetConfig cfg;
   cfg.runtime.decay_tick = 0;
   if (!protocol_spec.empty()) {
-    cfg = net::fleet_config_from_spec(protocol_spec, cfg);
+    cfg.runtime.node = core::bsub_config_from_spec(protocol_spec);
   } else {
     cfg.runtime.node.df_per_minute =
         core::compute_df(scenario.trace, kFleetTtl,
@@ -115,7 +117,7 @@ inline net::FleetConfig make_fleet_config(const FleetScenario& scenario,
 inline bool fleet_matches_engine(const FleetScenario& scenario,
                                  const net::FleetConfig& cfg,
                                  const engine::TraceRunResults& got) {
-  engine::TraceRunner runner(cfg.runtime.node, cfg.election,
+  engine::TraceRunner runner(cfg.runtime.node,
                              cfg.bandwidth_bytes_per_second);
   const engine::TraceRunResults expect =
       runner.run(scenario.trace, scenario.workload);

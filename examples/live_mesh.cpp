@@ -15,7 +15,7 @@ int main() {
   using util::from_minutes;
   using util::kHour;
 
-  engine::NodeConfig cfg;
+  core::BsubConfig cfg;
   cfg.df_per_minute = 0.2;  // relay routes live ~250 minutes per priming
 
   engine::Network net(cfg);

@@ -32,6 +32,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "core/config.h"
 #include "trace/contact.h"
 #include "util/pool.h"
 #include "util/time.h"
@@ -50,6 +51,8 @@ class BrokerElection {
   };
 
   BrokerElection(std::size_t node_count, Config config);
+
+  const Config& config() const { return config_; }
 
   bool is_broker(trace::NodeId node) const { return broker_[node] != 0; }
   void set_broker(trace::NodeId node, bool broker);
@@ -176,5 +179,14 @@ class BrokerElection {
   std::atomic<std::uint64_t> promotions_{0};
   std::atomic<std::uint64_t> demotions_{0};
 };
+
+/// The election knobs of a B-SUB config: B_l, B_u, the window W and the
+/// reference-layout switch. Every driver (the simulator protocol, the frame
+/// engine's TraceRunner and the fleet) builds its election from this one
+/// mapping, so the paper's constants have a single source in BsubConfig.
+inline BrokerElection::Config election_config(const BsubConfig& config) {
+  return {config.broker_lower, config.broker_upper, config.election_window,
+          config.reference_node_state};
+}
 
 }  // namespace bsub::core

@@ -80,11 +80,8 @@ void BsubProtocol::on_start(const sim::ScenarioInfo& scenario,
   const std::size_t nodes = scenario.node_count;
   workload_ = &workload;
   collector_ = &collector;
-  election_ = std::make_unique<BrokerElection>(
-      nodes,
-      BrokerElection::Config{config_.broker_lower, config_.broker_upper,
-                             config_.election_window,
-                             config_.reference_node_state});
+  election_ = std::make_unique<BrokerElection>(nodes,
+                                               election_config(config_));
   interests_ = std::make_unique<InterestManager>(
       workload.keys(), nodes, config_.filter_params, config_.initial_counter,
       config_.df_per_minute, /*eager_state=*/config_.reference_node_state);
@@ -227,15 +224,6 @@ const BsubProtocol::NodeFilterCache& BsubProtocol::node_filters(
   return *it->second;
 }
 
-void BsubProtocol::handle_role_changes(trace::NodeId node, bool /*was*/,
-                                       util::Time /*now*/) {
-  // Role flips keep the relay filter: the election churns (nodes hover
-  // around the thresholds), and decay already retires stale relay state —
-  // clearing on every flip would destroy live routes for nothing. A
-  // re-promoted broker simply resumes from its decayed filter.
-  (void)node;
-}
-
 void BsubProtocol::maybe_update_adaptive_df(trace::NodeId node,
                                             util::Time now) {
   if (!config_.adaptive_df || !election_->is_broker(node)) return;
@@ -271,11 +259,11 @@ void BsubProtocol::on_contact(trace::NodeId a, trace::NodeId b, util::Time now,
   purge(a, now);
   purge(b, now);
 
-  const bool a_was = election_->is_broker(a);
-  const bool b_was = election_->is_broker(b);
+  // Role flips keep the relay filter: the election churns (nodes hover
+  // around the thresholds), and decay already retires stale relay state —
+  // clearing on every flip would destroy live routes for nothing. A
+  // re-promoted broker simply resumes from its decayed filter.
   election_->on_contact(a, b, now);
-  handle_role_changes(a, a_was, now);
-  handle_role_changes(b, b_was, now);
   maybe_update_adaptive_df(a, now);
   maybe_update_adaptive_df(b, now);
 
@@ -317,8 +305,8 @@ void BsubProtocol::broker_exchange(trace::NodeId a, trace::NodeId b,
     if (!link.try_send(enc_a.size() + enc_b.size())) return;
     collector_->record_control_bytes(enc_a.size() + enc_b.size());
 
-    forward_between_brokers(a, b, snap_a, snap_b, now, link);
-    forward_between_brokers(b, a, snap_b, snap_a, now, link);
+    forward_between_brokers(a, b, snap_a, snap_b, link);
+    forward_between_brokers(b, a, snap_b, snap_a, link);
 
     interests_->merge_relay_from(a, snap_b, shadow_b, config_.broker_merge,
                                  now);
@@ -339,8 +327,8 @@ void BsubProtocol::broker_exchange(trace::NodeId a, trace::NodeId b,
   if (!link.try_send(bytes)) return;
   collector_->record_control_bytes(bytes);
 
-  forward_between_brokers(a, b, relay_a, relay_b, now, link);
-  forward_between_brokers(b, a, relay_b, relay_a, now, link);
+  forward_between_brokers(a, b, relay_a, relay_b, link);
+  forward_between_brokers(b, a, relay_b, relay_a, link);
 
   // The first merge mutates a, so only a's pre-merge state needs to survive
   // in scratch; b's live state feeds the first merge directly. thread_local
@@ -361,7 +349,6 @@ void BsubProtocol::forward_between_brokers(trace::NodeId from,
                                            trace::NodeId to,
                                            const bloom::Tcbf& filter_from,
                                            const bloom::Tcbf& filter_to,
-                                           util::Time /*now*/,
                                            sim::Link& link) {
   // Rank carried messages by the peer's preference over ours; only positive
   // preferences move (the peer is a strictly better custodian).

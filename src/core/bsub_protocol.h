@@ -196,13 +196,11 @@ class BsubProtocol final : public sim::Protocol {
   }
 
   void purge(trace::NodeId node, util::Time now);
-  void handle_role_changes(trace::NodeId node, bool was_broker,
-                           util::Time now);
   void broker_exchange(trace::NodeId a, trace::NodeId b, util::Time now,
                        sim::Link& link);
   void forward_between_brokers(trace::NodeId from, trace::NodeId to,
                                const bloom::Tcbf& filter_from,
-                               const bloom::Tcbf& filter_to, util::Time now,
+                               const bloom::Tcbf& filter_to,
                                sim::Link& link);
   void direct_delivery(trace::NodeId from, trace::NodeId to, util::Time now,
                        sim::Link& link);

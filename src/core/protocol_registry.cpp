@@ -1,6 +1,5 @@
 #include "core/protocol_registry.h"
 
-#include <cctype>
 #include <cstdio>
 #include <memory>
 
@@ -10,17 +9,6 @@
 namespace bsub::core {
 
 namespace {
-
-bool iequals(std::string_view a, std::string_view b) {
-  if (a.size() != b.size()) return false;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    if (std::tolower(static_cast<unsigned char>(a[i])) !=
-        std::tolower(static_cast<unsigned char>(b[i]))) {
-      return false;
-    }
-  }
-  return true;
-}
 
 BsubConfig config_from_params(sim::ProtocolParams& params) {
   BsubConfig cfg;
@@ -43,9 +31,9 @@ BsubConfig config_from_params(sim::ProtocolParams& params) {
       "window_ms", static_cast<std::uint64_t>(cfg.election_window), 1));
   const std::string merge = params.get_string(
       "merge", cfg.broker_merge == BrokerMergeMode::kMMerge ? "m" : "a");
-  if (iequals(merge, "m")) {
+  if (sim::iequals(merge, "m")) {
     cfg.broker_merge = BrokerMergeMode::kMMerge;
-  } else if (iequals(merge, "a")) {
+  } else if (sim::iequals(merge, "a")) {
     cfg.broker_merge = BrokerMergeMode::kAMerge;
   } else {
     params.reject("merge", "merge must be 'm' (M-merge) or 'a' (A-merge)");
@@ -92,7 +80,11 @@ sim::ProtocolRegistry make_protocol_registry() {
 }
 
 BsubConfig bsub_config_from_spec(const sim::ProtocolSpec& spec) {
-  if (!iequals(spec.name, "B-SUB") && !iequals(spec.name, "bsub")) {
+  // Resolve the name exactly as the registry does (B-SUB's canonical name
+  // or its alias, case-insensitive), against a table holding only B-SUB.
+  sim::ProtocolRegistry bsub_only;
+  register_bsub_protocol(bsub_only);
+  if (bsub_only.find(spec.name) == nullptr) {
     throw util::ConfigError(
         "protocol '" + spec.name + "' cannot be mapped to a B-SUB config",
         "protocol", "this surface runs only B-SUB (spec name bsub/B-SUB)");

@@ -12,8 +12,6 @@ BsubNode& Network::add_node(NodeId id) {
   BsubNode* node = it->second.get();
   node->set_delivery_handler(
       [this, id](const ContentMessage& msg, util::Time at) {
-        // In per-node-log mode this runs inside the node's own contact, so
-        // no other worker can touch per_node_deliveries_[id] concurrently.
         if (per_node_log_) {
           per_node_deliveries_[id].push_back(
               DeliveryRecord{id, msg.id, msg.key, at});

@@ -35,7 +35,7 @@ struct ContactReport {
 
 class Network {
  public:
-  explicit Network(NodeConfig node_config = {})
+  explicit Network(core::BsubConfig node_config = {})
       : node_config_(node_config) {}
 
   /// Creates a node; ids must be unique.
@@ -55,11 +55,9 @@ class Network {
                             sim::kDefaultBandwidthBytesPerSecond);
 
   /// Switches delivery recording to per-node logs (ids must be dense in
-  /// [0, node_count)). Required before running contacts concurrently: each
-  /// node's log is only written during that node's own contacts, so
-  /// node-disjoint contacts never share a log. deliveries() then reports
-  /// node-major order — a canonical order identical for serial and parallel
-  /// runs — instead of global arrival order.
+  /// [0, node_count)). deliveries() then reports node-major order — the
+  /// canonical order every replay substrate (TraceRunner, the fleet)
+  /// shares — instead of global arrival order.
   void use_per_node_delivery_log(std::size_t node_count);
 
   /// All consumer deliveries seen so far: global arrival order by default,
@@ -67,7 +65,7 @@ class Network {
   const std::vector<DeliveryRecord>& deliveries() const;
 
  private:
-  NodeConfig node_config_;
+  core::BsubConfig node_config_;
   std::map<NodeId, std::unique_ptr<BsubNode>> nodes_;
   std::vector<DeliveryRecord> deliveries_;
   std::vector<std::vector<DeliveryRecord>> per_node_deliveries_;

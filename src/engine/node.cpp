@@ -3,11 +3,25 @@
 #include <algorithm>
 
 #include "util/byte_io.h"
+#include "util/errors.h"
 
 namespace bsub::engine {
 
-BsubNode::BsubNode(NodeId id, NodeConfig config)
-    : id_(id), config_(config),
+namespace {
+
+const core::BsubConfig& engine_config(const core::BsubConfig& config) {
+  if (config.adaptive_df) {
+    throw util::ConfigError(
+        "adaptive DF is not supported by the frame-driven engine",
+        "B-SUB.adaptive", "use the simulator for adaptive-DF runs");
+  }
+  return config;
+}
+
+}  // namespace
+
+BsubNode::BsubNode(NodeId id, core::BsubConfig config)
+    : id_(id), config_(engine_config(config)),
       interest_report_(config.filter_params),
       relay_report_(config.filter_params) {}
 
@@ -102,7 +116,7 @@ std::vector<std::vector<std::uint8_t>> BsubNode::handle(
     case FrameType::kData:
       return on_data(*frame.data, now);
     case FrameType::kCustodyAck:
-      on_custody_ack(*frame.custody_ack, now);
+      on_custody_ack(*frame.custody_ack);
       return {};
   }
   return {};
@@ -131,19 +145,15 @@ void BsubNode::append_deliveries(
 
 void BsubNode::append_pickups(NodeId broker,
                               const bloom::BloomFilter& relay_report,
-                              util::Time now,
                               std::vector<std::vector<std::uint8_t>>& out) {
-  (void)now;
   // Two-phase custody: offers are free; the copy budget is only charged
   // when the broker's ack arrives (on_custody_ack).
-  std::uint32_t in_flight = 0;
   for (auto& [id, owned] : produced_) {
     if (owned.copies_left == 0 || owned.placed.contains(broker) ||
         !relay_report.contains(owned.key_hash)) {
       continue;
     }
     ++pickups_sent_;
-    ++in_flight;
     DataFrame data;
     data.sender = id_;
     data.message = owned.msg;
@@ -167,7 +177,7 @@ std::vector<std::vector<std::uint8_t>> BsubNode::on_hello(
                                           genuine_cache_));
     }
     // Pickup: replicate matching own messages to the broker.
-    append_pickups(hello.sender, hello.relay_report, now, out);
+    append_pickups(hello.sender, hello.relay_report, out);
     // Broker-broker: send our relay filter for the preferential exchange.
     if (broker_) {
       out.push_back(encode_relay_cached(id_, relay_now(now), relay_cache_));
@@ -261,8 +271,7 @@ std::vector<std::vector<std::uint8_t>> BsubNode::on_data(
   return {};
 }
 
-void BsubNode::on_custody_ack(const CustodyAckFrame& ack, util::Time now) {
-  (void)now;
+void BsubNode::on_custody_ack(const CustodyAckFrame& ack) {
   if (auto it = produced_.find(ack.message_id); it != produced_.end()) {
     OwnedMessage& owned = it->second;
     if (!ack.accepted) {
@@ -313,17 +322,6 @@ void BsubNode::purge(util::Time now) {
   for (const auto& [id, carried] : carried_) {
     next_expiry_ = std::min(next_expiry_, carried.msg.expiry());
   }
-}
-
-NodeConfig node_config_from(const core::BsubConfig& config) {
-  NodeConfig out;
-  out.filter_params = config.filter_params;
-  out.initial_counter = config.initial_counter;
-  out.df_per_minute = config.df_per_minute;
-  out.copy_limit = config.copy_limit;
-  out.relay_gated_delivery = config.relay_gated_delivery;
-  out.broker_merge = config.broker_merge;
-  return out;
 }
 
 }  // namespace bsub::engine

@@ -44,31 +44,19 @@
 
 namespace bsub::engine {
 
-/// Configuration for a live node; reuses the protocol constants of
-/// core::BsubConfig (filter geometry, C, DF, copy limit, gating).
-struct NodeConfig {
-  bloom::BloomParams filter_params{256, 4};
-  double initial_counter = 50.0;
-  double df_per_minute = 0.1;
-  std::uint32_t copy_limit = 3;
-  bool relay_gated_delivery = true;
-  core::BrokerMergeMode broker_merge = core::BrokerMergeMode::kMMerge;
-};
-
-/// Projects the simulator-side protocol config onto the live node's knobs
-/// (the shared constants: filter geometry, C, DF, copy limit, gating,
-/// merge mode). Election thresholds and simulator-only execution-path
-/// toggles are not part of a node; callers that also need the election use
-/// the BsubConfig directly (see TraceRunner::from_protocol_spec).
-NodeConfig node_config_from(const core::BsubConfig& config);
-
 class BsubNode {
  public:
   /// Called when a message is accepted by this node as a consumer.
   using DeliveryHandler =
       std::function<void(const ContentMessage&, util::Time)>;
 
-  BsubNode(NodeId id, NodeConfig config = {});
+  /// Runs the §V protocol under `config`: filter geometry, C, DF, copy
+  /// limit, relay gating and merge mode (the election knobs are read by
+  /// the driver that owns the election). Throws util::ConfigError for
+  /// adaptive_df — the engine has no online DF estimator, and every engine
+  /// driver (Network, TraceRunner, NodeRuntime, FleetRuntime) builds its
+  /// nodes here, so this is where such a config is refused.
+  explicit BsubNode(NodeId id, core::BsubConfig config = {});
 
   NodeId id() const { return id_; }
   bool is_broker() const { return broker_; }
@@ -186,15 +174,14 @@ class BsubNode {
   void on_genuine(const GenuineFrame& frame, util::Time now);
   std::vector<std::vector<std::uint8_t>> on_data(const DataFrame& frame,
                                                  util::Time now);
-  void on_custody_ack(const CustodyAckFrame& ack, util::Time now);
+  void on_custody_ack(const CustodyAckFrame& ack);
   void append_deliveries(const bloom::BloomFilter& report, util::Time now,
                          std::vector<std::vector<std::uint8_t>>& out);
   void append_pickups(NodeId broker, const bloom::BloomFilter& relay_report,
-                      util::Time now,
                       std::vector<std::vector<std::uint8_t>>& out);
 
   NodeId id_;
-  NodeConfig config_;
+  core::BsubConfig config_;
   bool broker_ = false;
   std::set<std::string> interests_;
   /// Interned hashes of interests_, in set order (rebuilt on subscribe).

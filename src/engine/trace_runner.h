@@ -12,21 +12,17 @@
 //     charges analytic sizes);
 //   - messages carry real bodies of the workload's size.
 //
-// Like the simulator, the runner can shard one trace across cores through
-// the windowed conflict-batch executor: a contact only touches its two
-// endpoint BsubNodes (and their election state), so node-disjoint contacts
-// commute. Delivery records go to per-node logs reduced node-major, and
-// frame tallies are relaxed atomics, so serial and parallel runs return
-// byte-identical TraceRunResults.
+// The replay is serial: events run one at a time in the merged trace
+// order. Sharding it across cores measured no faster end to end
+// (EXPERIMENTS.md, "Engine threading retirement"); the Simulator is the
+// threaded driver. Delivery records go to per-node logs read back
+// node-major, the canonical order the fleet's loopback replay reports too.
 #pragma once
 
 #include <span>
-#include <string_view>
 
 #include "core/broker_allocation.h"
 #include "engine/network.h"
-#include "metrics/collector.h"
-#include "sim/parallel_executor.h"
 #include "trace/contact_stream.h"
 #include "trace/trace.h"
 #include "workload/workload.h"
@@ -58,39 +54,20 @@ void summarize_deliveries(std::span<const DeliveryRecord> delivered,
                           const workload::Workload& workload,
                           TraceRunResults& results);
 
-/// Execution knobs; semantics are identical for every setting (see the
-/// determinism contract above).
-struct TraceRunnerOptions {
-  /// 0 = util::default_thread_count() (honors BSUB_THREADS), 1 = serial.
-  std::size_t threads = 0;
-  std::size_t window_events = 4096;
-  std::size_t min_batch_fanout = 4;
-};
-
 class TraceRunner {
  public:
-  TraceRunner(NodeConfig node_config, core::BrokerElection::Config election,
-              double bandwidth_bytes_per_second =
-                  sim::kDefaultBandwidthBytesPerSecond,
-              TraceRunnerOptions options = {})
-      : node_config_(node_config), election_config_(election),
-        bandwidth_(bandwidth_bytes_per_second), options_(options) {}
+  /// `config` is the whole protocol: the node constants, and the election
+  /// knobs through core::election_config. A config the engine cannot run
+  /// (adaptive_df) is refused with util::ConfigError when run() builds
+  /// the nodes.
+  explicit TraceRunner(core::BsubConfig config,
+                       double bandwidth_bytes_per_second =
+                           sim::kDefaultBandwidthBytesPerSecond)
+      : config_(config), bandwidth_(bandwidth_bytes_per_second) {}
 
-  /// Builds a runner from a B-SUB protocol spec (see
-  /// core::bsub_config_from_spec): the shared constants map onto
-  /// NodeConfig, bl/bu/window_ms onto the election config. Throws
-  /// util::ConfigError for a non-B-SUB spec, a bad parameter, or
-  /// adaptive=1 (the frame engine has no online DF estimator — failing
-  /// loudly beats silently running a different protocol than asked).
-  static TraceRunner from_protocol_spec(
-      std::string_view protocol_spec,
-      double bandwidth_bytes_per_second = sim::kDefaultBandwidthBytesPerSecond,
-      TraceRunnerOptions options = {});
-
-  /// Runs a streamed scenario; deterministic across thread counts and
-  /// bit-identical to running the stream's materialization. Peak memory is
-  /// O(node state + one scheduling window). Consumes the stream from its
-  /// current position.
+  /// Runs a streamed scenario; bit-identical to running the stream's
+  /// materialization. Peak memory is O(node state + one scheduling
+  /// window). Consumes the stream from its current position.
   TraceRunResults run(trace::ContactStream& contacts,
                       const workload::Workload& workload);
 
@@ -101,17 +78,9 @@ class TraceRunner {
     return run(stream, workload);
   }
 
-  /// Execution-shape stats of the most recent run().
-  const sim::ParallelRunStats& last_run_stats() const {
-    return last_run_stats_;
-  }
-
  private:
-  NodeConfig node_config_;
-  core::BrokerElection::Config election_config_;
+  core::BsubConfig config_;
   double bandwidth_;
-  TraceRunnerOptions options_;
-  sim::ParallelRunStats last_run_stats_;
 };
 
 }  // namespace bsub::engine

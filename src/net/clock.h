@@ -38,10 +38,11 @@ class ManualClock final : public Clock {
   }
 
   /// Unconditionally rewinds/forwards the clock: the escape hatch for
-  /// reusing one clock across independent virtual-time episodes (a fleet
-  /// lane executes node-disjoint contacts out of global time order, one
-  /// episode per contact). Pair with Reactor::rebase(). Within one episode
-  /// time stays monotonic via set()/advance().
+  /// reusing one clock across independent virtual-time episodes (the
+  /// fleet's loopback replay runs one episode per contact, and a contact
+  /// may start before the previous one's window closed). Pair with
+  /// Reactor::rebase(). Within one episode time stays monotonic via
+  /// set()/advance().
   void reset(util::Time t) { now_ = t; }
 
  private:

@@ -7,10 +7,10 @@
 #include <cerrno>
 #include <chrono>
 #include <cstring>
+#include <mutex>
 #include <stdexcept>
 #include <thread>
 
-#include "core/protocol_registry.h"
 #include "net/loopback.h"
 #include "sim/event_stream.h"
 #include "sim/link.h"
@@ -35,28 +35,12 @@ double percentile(const std::vector<std::int64_t>& sorted, double p) {
 
 }  // namespace
 
-FleetConfig fleet_config_from_spec(std::string_view protocol_spec,
-                                   FleetConfig base) {
-  const core::BsubConfig cfg = core::bsub_config_from_spec(protocol_spec);
-  if (cfg.adaptive_df) {
-    throw util::ConfigError(
-        "adaptive DF is not supported by the frame-driven engine",
-        "B-SUB.adaptive", "use the simulator for adaptive-DF runs");
-  }
-  base.runtime.node = engine::node_config_from(cfg);
-  base.election.lower = cfg.broker_lower;
-  base.election.upper = cfg.broker_upper;
-  base.election.window = cfg.election_window;
-  base.election.reference_state = cfg.reference_node_state;
-  return base;
-}
-
 // ---------------------------------------------------------------------------
-// Loopback lanes
+// Loopback lane
 
-/// One worker thread's private virtual-time world. Contacts executed on the
-/// lane are independent episodes: the contact's two NodeRuntimes are bound
-/// to the lane, the clock is reset and the reactor rebased to the contact's
+/// The loopback replay's virtual-time world. Contacts executed on the lane
+/// are independent episodes: the contact's two NodeRuntimes are bound to
+/// the lane, the clock is reset and the reactor rebased to the contact's
 /// start, and the runtimes are unbound at the end. The rebase is legal
 /// because decay ticks are disabled and unbinding tears down every session
 /// with its timers, so nothing is pending between contacts (Reactor::rebase
@@ -66,7 +50,7 @@ struct FleetRuntime::Lane {
   Reactor reactor;
   LoopbackHub hub;
   /// Hub attachments are permanent (LoopbackHub::attach rejects
-  /// duplicates), so remember which node ids this lane has seen.
+  /// duplicates), so remember which node ids the lane has seen.
   std::unordered_map<std::uint32_t, LoopbackTransport*> ports;
 
   explicit Lane(std::size_t mtu)
@@ -149,7 +133,7 @@ FleetRuntime::FleetRuntime(FleetConfig config) : config_(std::move(config)) {
   if (config_.shards == 0) config_.shards = 1;
 }
 
-// nodes_ is declared last, so every NodeRuntime unbinds before the lanes and
+// nodes_ is declared last, so every NodeRuntime unbinds before the lane and
 // shards it may still reference are destroyed.
 FleetRuntime::~FleetRuntime() = default;
 
@@ -186,33 +170,15 @@ void FleetRuntime::make_nodes(std::size_t node_count,
       node.subscribe(workload.keys().name(k));
     }
   }
-  election_ =
-      std::make_unique<core::BrokerElection>(node_count, config_.election);
+  election_ = std::make_unique<core::BrokerElection>(
+      node_count, core::election_config(config_.runtime.node));
 }
 
 // ---------------------------------------------------------------------------
 // Deterministic loopback engine
 
-FleetRuntime::Lane& FleetRuntime::lane_for_thread() {
-  // The token must be unique across FleetRuntime *instances*, not just
-  // runs: a later runtime allocated at a recycled address must not revive
-  // another run's thread-local lane pointer.
-  thread_local std::uint64_t token = 0;
-  thread_local Lane* lane = nullptr;
-  if (token != run_token_ || lane == nullptr) {
-    auto fresh = std::make_unique<Lane>(config_.runtime.session.mtu);
-    lane = fresh.get();
-    {
-      std::lock_guard<std::mutex> lock(lanes_mu_);
-      lanes_.push_back(std::move(fresh));
-    }
-    token = run_token_;
-  }
-  return *lane;
-}
-
-void FleetRuntime::pump_lane(Lane& lane, NodeRuntime& a, NodeRuntime& b,
-                             util::Time cap) {
+void FleetRuntime::pump_lane(NodeRuntime& a, NodeRuntime& b, util::Time cap) {
+  Lane& lane = *lane_;
   for (;;) {
     lane.hub.deliver_all();
     if (a.all_sessions_idle() && b.all_sessions_idle() && lane.hub.idle()) {
@@ -224,16 +190,14 @@ void FleetRuntime::pump_lane(Lane& lane, NodeRuntime& a, NodeRuntime& b,
   }
 }
 
-void FleetRuntime::exec_loopback_contact(Lane& lane, const trace::Contact& c) {
-  // A fresh virtual-time episode at the contact's start instant. The global
-  // event order only guarantees per-node monotonicity, so the lane clock may
-  // have to travel backwards between contacts — reset() + rebase() instead
-  // of set().
+std::uint64_t FleetRuntime::exec_loopback_contact(const trace::Contact& c) {
+  Lane& lane = *lane_;
+  // A fresh virtual-time episode at the contact's start instant. The
+  // previous contact's window may reach past this start, so the clock may
+  // have to travel backwards — reset() + rebase() instead of set().
   lane.clock.reset(c.start);
   lane.reactor.rebase(c.start);
 
-  // Election only mutates the two endpoints' state — safe inside a
-  // conflict batch, exactly like TraceRunner.
   election_->on_contact(c.a, c.b, c.start);
   NodeRuntime& a = *nodes_[c.a];
   NodeRuntime& b = *nodes_[c.b];
@@ -252,7 +216,7 @@ void FleetRuntime::exec_loopback_contact(Lane& lane, const trace::Contact& c) {
   b.connect(c.a, budget);
 
   const util::Time contact_end = c.start + c.duration();
-  pump_lane(lane, a, b, contact_end);
+  pump_lane(a, b, contact_end);
 
   // Goodbye handshake; whatever survives the window is torn down as lost.
   a.close(c.b);
@@ -272,20 +236,7 @@ void FleetRuntime::exec_loopback_contact(Lane& lane, const trace::Contact& c) {
 
   a.unbind();
   b.unbind();
-
-  contacts_processed_.fetch_add(1, std::memory_order_relaxed);
-  bytes_used_.fetch_add(budget->used_bytes(), std::memory_order_relaxed);
-}
-
-void FleetRuntime::exec_loopback_event(const sim::ScenarioEvent& e,
-                                       const workload::Workload& workload) {
-  if (e.is_message) {
-    const workload::Message& m = workload.messages()[e.message_index];
-    nodes_[m.producer]->node().publish(engine::content_message(workload, m),
-                                       m.created);
-    return;
-  }
-  exec_loopback_contact(lane_for_thread(), e.contact);
+  return budget->used_bytes();
 }
 
 FleetRunResults FleetRuntime::run_loopback(trace::ContactStream& contacts,
@@ -293,13 +244,14 @@ FleetRunResults FleetRuntime::run_loopback(trace::ContactStream& contacts,
   require_unused();
   if (config_.runtime.decay_tick != 0) {
     throw util::ConfigError(
-        "fleet loopback lanes require decay_tick = 0",
+        "fleet loopback replay requires decay_tick = 0",
         "fleet.decay_tick",
-        "lanes have no timeline between contacts; decay stays lazy");
+        "the lane has no timeline between contacts; decay stays lazy");
   }
   sim::ScenarioReplay replay(contacts, workload);
   const std::size_t node_count = replay.node_count();
   make_nodes(node_count, workload);
+  lane_ = std::make_unique<Lane>(config_.runtime.session.mtu);
 
   per_node_deliveries_.assign(node_count, {});
   for (trace::NodeId n = 0; n < node_count; ++n) {
@@ -310,26 +262,26 @@ FleetRunResults FleetRuntime::run_loopback(trace::ContactStream& contacts,
         });
   }
 
-  static std::atomic<std::uint64_t> run_sequence{0};
-  run_token_ = run_sequence.fetch_add(1, std::memory_order_relaxed) + 1;
   const auto wall_start = std::chrono::steady_clock::now();
-
-  sim::ParallelRunConfig pcfg;
-  pcfg.threads = config_.threads;
-  pcfg.window_events = config_.window_events;
-  pcfg.min_batch_fanout = config_.min_batch_fanout;
-
   FleetRunResults results;
-  results.exec = replay.run(pcfg, [&](const sim::ScenarioEvent& e) {
-    exec_loopback_event(e, workload);
-  });
+  const auto& messages = workload.messages();
+  auto exec_event = [&](const sim::ScenarioEvent& e) {
+    if (e.is_message) {
+      const workload::Message& m = messages[e.message_index];
+      nodes_[m.producer]->node().publish(engine::content_message(workload, m),
+                                         m.created);
+      return;
+    }
+    results.protocol.bytes_used += exec_loopback_contact(e.contact);
+    ++results.protocol.contacts_processed;
+  };
+  // Serial: a ParallelRunConfig's default threads = 0 means "auto".
+  replay.run(sim::ParallelRunConfig{.threads = 1}, exec_event);
 
   results.wall_seconds = elapsed_seconds(wall_start);
   results.nodes = node_count;
-  results.reactor_threads = results.exec.threads_used;
+  results.reactor_threads = 1;
 
-  results.protocol.contacts_processed = contacts_processed_.load();
-  results.protocol.bytes_used = bytes_used_.load();
   results.transport = counters_.snapshot();
   results.protocol.frames_delivered = results.transport.frames_received;
   results.protocol.frames_dropped = results.transport.frames_dropped;

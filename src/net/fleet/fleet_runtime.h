@@ -4,20 +4,18 @@
 // daemon runs — and the fleet drives contacts between them from any
 // trace::ContactStream, on one of two engines:
 //
-//   run_loopback()  deterministic virtual time, sharded across reactor
-//                   threads. Contacts are scheduled with the windowed
-//                   conflict-batch executor (the same discipline the
-//                   parallel engine uses): node-disjoint contacts commute,
-//                   so each worker thread owns a *lane* — a ManualClock +
-//                   Reactor + LoopbackHub — and replays its contacts as
-//                   independent virtual-time episodes (clock reset +
-//                   reactor rebase per contact). Each contact binds its two
-//                   NodeRuntimes to the lane and unbinds them afterwards;
-//                   the runtimes carry the persistent per-node state
-//                   between lanes. With threads = 1 this is the
-//                   single-lane live replay. Results are bit-identical to
-//                   engine::TraceRunner (decay_tick = 0, which this engine
-//                   requires) across any thread count.
+//   run_loopback()  deterministic virtual time, serial, on the runtime's
+//                   one *lane* — a ManualClock + Reactor + LoopbackHub.
+//                   Each contact is an independent virtual-time episode
+//                   (clock reset + reactor rebase per contact): its two
+//                   NodeRuntimes are bound to the lane and unbound
+//                   afterwards, and the runtimes carry the persistent
+//                   per-node state between contacts. Results are
+//                   bit-identical to engine::TraceRunner (decay_tick = 0,
+//                   which this engine requires). Sharding the replay
+//                   across lanes measured no better than ~1.2x at 4
+//                   threads and was retired (EXPERIMENTS.md, "Engine
+//                   threading retirement").
 //
 //   run_udp()       real time over the fleet UDP plane
 //                   (net/fleet/fleet_udp.h): nodes are sharded
@@ -42,8 +40,6 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
-#include <mutex>
-#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -53,8 +49,6 @@
 #include "net/fleet/fleet_udp.h"
 #include "net/node_runtime.h"
 #include "net/reactor.h"
-#include "sim/event_stream.h"
-#include "sim/parallel_executor.h"
 #include "trace/contact_stream.h"
 #include "trace/trace.h"
 #include "workload/workload.h"
@@ -62,15 +56,10 @@
 namespace bsub::net {
 
 struct FleetConfig {
+  /// runtime.node is the whole protocol: the node constants, and the
+  /// election knobs through core::election_config.
   RuntimeConfig runtime;
-  core::BrokerElection::Config election{3, 5, 5 * util::kHour};
   double bandwidth_bytes_per_second = sim::kDefaultBandwidthBytesPerSecond;
-
-  // --- run_loopback() knobs (same semantics as TraceRunnerOptions) ---
-  /// 0 = util::default_thread_count() (honors BSUB_THREADS), 1 = serial.
-  std::size_t threads = 0;
-  std::size_t window_events = 4096;
-  std::size_t min_batch_fanout = 4;
 
   // --- run_udp() knobs ---
   /// Reactor threads / sockets-in-shard-mode. Nodes home at node % shards.
@@ -84,21 +73,12 @@ struct FleetConfig {
   util::Time idle_check_period = 2 * util::kMillisecond;
 };
 
-/// Builds a FleetConfig from a B-SUB protocol spec, exactly like
-/// TraceRunner::from_protocol_spec maps specs onto (NodeConfig, election).
-/// All non-protocol fields are taken from `base`. Throws util::ConfigError
-/// for a non-B-SUB spec or adaptive=1.
-FleetConfig fleet_config_from_spec(std::string_view protocol_spec,
-                                   FleetConfig base = {});
-
 struct FleetRunResults {
   /// Same semantic fields as the other substrates. For run_udp(),
   /// bytes_used stays 0 (real contacts have no byte budget) and
   /// mean_delay_minutes is derived from real delivery latencies.
   engine::TraceRunResults protocol;
   metrics::TransportStats transport;
-  /// Execution shape (run_loopback() only).
-  sim::ParallelRunStats exec;
 
   std::size_t nodes = 0;
   std::size_t reactor_threads = 0;
@@ -129,9 +109,9 @@ class FleetRuntime {
   FleetRuntime(const FleetRuntime&) = delete;
   FleetRuntime& operator=(const FleetRuntime&) = delete;
 
-  /// Deterministic multi-threaded loopback replay. Requires
-  /// runtime.decay_tick == 0 (lanes have no timeline between contacts);
-  /// throws util::ConfigError otherwise.
+  /// Deterministic serial loopback replay. Requires runtime.decay_tick ==
+  /// 0 (the lane has no timeline between contacts); throws
+  /// util::ConfigError otherwise.
   FleetRunResults run_loopback(trace::ContactStream& contacts,
                                const workload::Workload& workload);
 
@@ -153,6 +133,7 @@ class FleetRuntime {
 
   /// Valid after a run.
   const engine::BsubNode& node(trace::NodeId id) const;
+  const core::BrokerElection& election() const { return *election_; }
   /// All consumer deliveries, node-major — the canonical order shared with
   /// TraceRunner. Populated by run_loopback();
   /// empty after run_udp() (real-time runs only count and sample).
@@ -167,12 +148,9 @@ class FleetRuntime {
   void make_nodes(std::size_t node_count, const workload::Workload& workload);
 
   // --- loopback engine ---
-  Lane& lane_for_thread();
-  void exec_loopback_event(const sim::ScenarioEvent& event,
-                           const workload::Workload& workload);
-  void exec_loopback_contact(Lane& lane, const trace::Contact& c);
-  void pump_lane(Lane& lane, NodeRuntime& a, NodeRuntime& b,
-                 util::Time cap);
+  /// Replays one contact on the lane; returns the contact's bytes used.
+  std::uint64_t exec_loopback_contact(const trace::Contact& c);
+  void pump_lane(NodeRuntime& a, NodeRuntime& b, util::Time cap);
 
   // --- udp engine ---
   static std::uint64_t contact_key(std::uint32_t a, std::uint32_t b) {
@@ -194,13 +172,9 @@ class FleetRuntime {
   std::unique_ptr<core::BrokerElection> election_;
   std::vector<std::vector<engine::DeliveryRecord>> per_node_deliveries_;
   mutable std::vector<engine::DeliveryRecord> flattened_;
-  std::atomic<std::uint64_t> contacts_processed_{0};
-  std::atomic<std::uint64_t> bytes_used_{0};
 
-  // Loopback lanes, created on demand (one per executing thread).
-  std::mutex lanes_mu_;
-  std::vector<std::unique_ptr<Lane>> lanes_;
-  std::uint64_t run_token_ = 0;
+  /// The loopback replay's virtual-time world (run_loopback() only).
+  std::unique_ptr<Lane> lane_;
 
   // UDP shards and real-time bookkeeping.
   std::vector<std::unique_ptr<Shard>> shards_;
@@ -213,7 +187,7 @@ class FleetRuntime {
   std::atomic<std::uint64_t> live_deliveries_{0};
 
   bool ran_ = false;
-  /// Declared last: node teardown (unbind) may touch lanes/shards.
+  /// Declared last: node teardown (unbind) may touch the lane or shards.
   std::vector<std::unique_ptr<NodeRuntime>> nodes_;
 };
 

@@ -23,8 +23,9 @@
 //                              transport.
 //
 // A daemon, a UDP shard or a test binds a runtime once and keeps it bound;
-// the fleet's deterministic loopback lanes bind it for exactly one contact
-// (decay_tick must be 0 there — there is no timeline between contacts).
+// the fleet's deterministic loopback replay binds it for exactly one
+// contact (decay_tick must be 0 there — there is no timeline between
+// contacts).
 //
 // Everything runs on the bound reactor's thread; the runtime needs no locks.
 #pragma once
@@ -44,7 +45,9 @@
 namespace bsub::net {
 
 struct RuntimeConfig {
-  engine::NodeConfig node;  ///< protocol constants (filters, C, DF, copies)
+  /// The §V protocol constants (filters, C, DF, copies, gating, merge);
+  /// the fleet also reads its election knobs from here.
+  core::BsubConfig node;
   SessionConfig session;
   /// Period of the TCBF decay / expiry-purge tick; 0 disables it.
   util::Time decay_tick = util::kMinute;

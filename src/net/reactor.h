@@ -12,7 +12,7 @@
 //   virtual time advance_to(t) moves a ManualClock through every timer
 //               deadline up to t in deterministic order without ever
 //               blocking. Used by the loopback tests and the fleet's
-//               loopback lanes; fds are not polled (loopback has none).
+//               loopback replay; fds are not polled (loopback has none).
 //
 // Readiness is poll(2) over a dense pollfd array: portable, and O(registered
 // fds) per wait, which is cheap because every reactor watches a handful of
@@ -87,10 +87,10 @@ class Reactor {
   void advance_to(ManualClock& clock, util::Time t);
 
   /// Rewinds the timer wheel to `t` for reuse by a new virtual-time episode
-  /// (the fleet's loopback lanes execute node-disjoint contacts out of
-  /// global time order, one rebased episode per contact). Requires no
-  /// pending timers — everything from the previous episode must have fired
-  /// or been cancelled; throws std::logic_error otherwise.
+  /// (the fleet's loopback replay runs one rebased episode per contact, and
+  /// a contact may start before the previous one's window closed). Requires
+  /// no pending timers — everything from the previous episode must have
+  /// fired or been cancelled; throws std::logic_error otherwise.
   void rebase(util::Time t);
 
   /// Real-time driving: waits until a registered fd is readable or the next

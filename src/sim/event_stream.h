@@ -8,8 +8,9 @@
 // nothing to a streamed run's memory footprint.
 //
 // ScenarioReplay is the one replay loop every trace-driven driver shares
-// (Simulator, engine::TraceRunner, FleetRuntime's loopback lanes): the
+// (Simulator, engine::TraceRunner, FleetRuntime's loopback replay): the
 // merged stream, staged one window at a time into the windowed executor.
+// Only the Simulator runs it threaded; the engine replays pin threads = 1.
 #pragma once
 
 #include <cstdint>

@@ -26,6 +26,11 @@
 
 namespace bsub::sim {
 
+/// Default events per scheduling window (ParallelRunConfig::window_events).
+inline constexpr std::size_t kDefaultWindowEvents = 4096;
+/// Default per-worker inline threshold (ParallelRunConfig::min_batch_fanout).
+inline constexpr std::size_t kDefaultMinBatchFanout = 4;
+
 /// Knobs for the windowed conflict-batch executor.
 struct ParallelRunConfig {
   /// Worker count; 0 = util::default_thread_count() (honors BSUB_THREADS).
@@ -33,10 +38,10 @@ struct ParallelRunConfig {
   /// Events per scheduling window. Larger windows find more parallelism
   /// (batches grow toward node_count/2 events) but delay nothing — windows
   /// are a scheduling granularity, not a semantic boundary.
-  std::size_t window_events = 4096;
+  std::size_t window_events = kDefaultWindowEvents;
   /// Batches with fewer than `min_batch_fanout` events per worker run
   /// inline on the calling thread; the pool handoff would dominate.
-  std::size_t min_batch_fanout = 4;
+  std::size_t min_batch_fanout = kDefaultMinBatchFanout;
 };
 
 /// Execution-shape report for one run; feeds the bench JSON so perf
@@ -89,7 +94,7 @@ ParallelRunStats run_windowed_parallel(std::size_t node_count, Fill&& fill,
   const std::size_t threads =
       cfg.threads != 0 ? cfg.threads : util::default_thread_count();
   const std::size_t window =
-      cfg.window_events != 0 ? cfg.window_events : 4096;
+      cfg.window_events != 0 ? cfg.window_events : kDefaultWindowEvents;
   std::vector<EventNodes> endpoints(window);
 
   if (threads <= 1) {

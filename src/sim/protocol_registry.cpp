@@ -6,8 +6,6 @@
 
 namespace bsub::sim {
 
-namespace {
-
 bool iequals(std::string_view a, std::string_view b) {
   if (a.size() != b.size()) return false;
   for (std::size_t i = 0; i < a.size(); ++i) {
@@ -18,6 +16,8 @@ bool iequals(std::string_view a, std::string_view b) {
   }
   return true;
 }
+
+namespace {
 
 std::string field_name(std::string_view protocol, std::string_view key) {
   return std::string(protocol) + "." + std::string(key);

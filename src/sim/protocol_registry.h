@@ -31,6 +31,10 @@
 
 namespace bsub::sim {
 
+/// ASCII case-insensitive equality: how names, parameter keys and keyword
+/// values in protocol specs are compared.
+bool iequals(std::string_view a, std::string_view b);
+
 /// A parsed protocol spec: the protocol name plus its key=value parameters
 /// in spec order. Parsing is purely syntactic — name resolution and value
 /// validation happen at construction time against the registry entry.

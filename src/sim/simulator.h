@@ -35,9 +35,9 @@ struct SimulatorConfig {
   /// parallel_contacts_safe() always run serially.
   std::size_t threads = 0;
   /// Events per conflict-scheduling window (see ParallelRunConfig).
-  std::size_t window_events = 4096;
+  std::size_t window_events = kDefaultWindowEvents;
   /// Inline-vs-fanout threshold per batch (see ParallelRunConfig).
-  std::size_t min_batch_fanout = 4;
+  std::size_t min_batch_fanout = kDefaultMinBatchFanout;
 };
 
 class Simulator {

@@ -19,8 +19,8 @@ ContentMessage msg(std::uint64_t id, std::string key, util::Time created,
   return m;
 }
 
-NodeConfig no_decay() {
-  NodeConfig cfg;
+core::BsubConfig no_decay() {
+  core::BsubConfig cfg;
   cfg.df_per_minute = 0.0;
   return cfg;
 }
@@ -86,7 +86,7 @@ TEST(Engine, NoPickupWithoutPrimedRelay) {
 }
 
 TEST(Engine, CopyLimitStopsReplication) {
-  NodeConfig cfg = no_decay();
+  core::BsubConfig cfg = no_decay();
   cfg.copy_limit = 2;
   Network net(cfg);
   BsubNode& producer = net.add_node(1);
@@ -106,7 +106,7 @@ TEST(Engine, CopyLimitStopsReplication) {
 }
 
 TEST(Engine, DecayErasesRouteAndGatesDelivery) {
-  NodeConfig cfg;
+  core::BsubConfig cfg;
   cfg.df_per_minute = 1.0;  // C = 50 -> 50-minute route lifetime
   Network net(cfg);
   net.add_node(1).publish(msg(1, "NewMoon", 0, 10 * kHour), 0);

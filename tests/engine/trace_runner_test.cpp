@@ -36,8 +36,8 @@ struct Scenario {
         }()) {}
 };
 
-NodeConfig node_config_for(const Scenario& s, util::Time ttl) {
-  NodeConfig cfg;
+core::BsubConfig node_config_for(const Scenario& s, util::Time ttl) {
+  core::BsubConfig cfg;
   cfg.df_per_minute =
       core::compute_df(s.trace, ttl, cfg.filter_params, cfg.initial_counter)
           .df_per_minute;
@@ -46,7 +46,7 @@ NodeConfig node_config_for(const Scenario& s, util::Time ttl) {
 
 TEST(TraceRunner, DeliversOnRealScenario) {
   Scenario s(71);
-  TraceRunner runner(node_config_for(s, 6 * util::kHour), {3, 5, 5 * util::kHour});
+  TraceRunner runner(node_config_for(s, 6 * util::kHour));
   TraceRunResults r = runner.run(s.trace, s.workload);
   EXPECT_EQ(r.contacts_processed, s.trace.contacts().size());
   EXPECT_GT(r.deliveries, 0u);
@@ -58,8 +58,8 @@ TEST(TraceRunner, DeliversOnRealScenario) {
 
 TEST(TraceRunner, IsDeterministic) {
   Scenario s(72);
-  NodeConfig cfg = node_config_for(s, 6 * util::kHour);
-  TraceRunner runner(cfg, {3, 5, 5 * util::kHour});
+  core::BsubConfig cfg = node_config_for(s, 6 * util::kHour);
+  TraceRunner runner(cfg);
   TraceRunResults a = runner.run(s.trace, s.workload);
   TraceRunResults b = runner.run(s.trace, s.workload);
   EXPECT_EQ(a.deliveries, b.deliveries);
@@ -76,7 +76,7 @@ TEST(TraceRunner, AgreesWithSimulatorSubstrate) {
   Scenario s(73);
   const util::Time ttl = 6 * util::kHour;
 
-  TraceRunner runner(node_config_for(s, ttl), {3, 5, 5 * util::kHour});
+  TraceRunner runner(node_config_for(s, ttl));
   TraceRunResults engine_r = runner.run(s.trace, s.workload);
 
   core::BsubConfig sim_cfg;
@@ -99,7 +99,6 @@ TEST(TraceRunner, AgreesWithSimulatorSubstrate) {
 TEST(TraceRunner, StarvedBandwidthDropsFrames) {
   Scenario s(74);
   TraceRunner runner(node_config_for(s, 6 * util::kHour),
-                     {3, 5, 5 * util::kHour},
                      /*bandwidth=*/30.0);  // bytes per second: brutal
   TraceRunResults r = runner.run(s.trace, s.workload);
   EXPECT_GT(r.frames_dropped, 0u);
@@ -111,8 +110,7 @@ TEST(TraceRunner, EmptyWorkloadDeliversNothing) {
                            std::vector<workload::KeyId>(
                                s.trace.node_count(), 0),
                            {});
-  TraceRunner runner(node_config_for(s, 6 * util::kHour),
-                     {3, 5, 5 * util::kHour});
+  TraceRunner runner(node_config_for(s, 6 * util::kHour));
   TraceRunResults r = runner.run(s.trace, empty);
   EXPECT_EQ(r.deliveries, 0u);
   EXPECT_EQ(r.expected_deliveries, 0u);
@@ -123,8 +121,18 @@ TEST(TraceRunner, RejectsWorkloadOfADifferentNodeCount) {
   const std::size_t nodes = s.trace.node_count() + 1;
   const workload::Workload wider(s.keys, nodes,
                                  std::vector<workload::KeyId>(nodes, 0), {});
-  TraceRunner runner(NodeConfig{}, {3, 5, 5 * util::kHour});
+  TraceRunner runner(core::BsubConfig{});
   EXPECT_THROW(runner.run(s.trace, wider), util::ConfigError);
+}
+
+TEST(TraceRunner, RejectsAdaptiveDfConfigHandedOverDirectly) {
+  // No spec involved: the engine itself refuses a config it cannot run
+  // (it has no online DF estimator) instead of silently running a fixed DF.
+  Scenario s(18);
+  core::BsubConfig cfg = node_config_for(s, 6 * util::kHour);
+  cfg.adaptive_df = true;
+  TraceRunner runner(cfg);
+  EXPECT_THROW(runner.run(s.trace, s.workload), util::ConfigError);
 }
 
 }  // namespace

@@ -1,20 +1,20 @@
 // Fleet loopback engine vs engine harness: live NodeRuntimes trading
-// datagrams over loopback lanes (sessions, fragmentation, acks, budget
+// datagrams over the loopback lane (sessions, fragmentation, acks, budget
 // charging at the datagram layer) must reproduce engine::TraceRunner *bit
 // for bit* — delivery logs, frame tallies, byte usage, float summaries —
 // across seeds, on two scenario shapes:
 //
-//   - single lane: 12 nodes x 600 contacts at threads = 1, the live replay
-//     of a trace one contact at a time on one reactor;
-//   - fleet scale: 1000 nodes x 8000 contacts sharded across >= 2 reactor
-//     lanes.
+//   - single lane: 12 nodes x 600 contacts;
+//   - fleet scale: 1000 nodes x 8000 contacts.
+//
+// Both replay a trace one contact at a time on one reactor.
 //
 // Custody sets (which nodes ever carried each message) are compared against
 // a serial engine replay, so the messages traveled the same broker paths on
 // both substrates.
 //
 // One deliberate knob: periodic decay ticks are disabled (decay_tick = 0,
-// which loopback lanes require anyway) so both substrates decay TCBF
+// which the loopback replay requires anyway) so both substrates decay TCBF
 // counters lazily over identical intervals. Splitting a decay interval
 // across ticks changes the floating-point sum (df*t1 + df*t2 != df*(t1+t2)
 // bitwise), which would perturb counter values without changing protocol
@@ -27,17 +27,19 @@
 #include <tuple>
 #include <vector>
 
+#include "core/bsub_protocol.h"
 #include "core/df_tuning.h"
 #include "engine/network.h"
 #include "engine/trace_runner.h"
 #include "net/fleet/fleet_runtime.h"
+#include "sim/simulator.h"
 #include "trace/synthetic.h"
 #include "workload/workload.h"
 
 namespace bsub::net {
 namespace {
 
-/// One scenario family plus the lane count it runs at.
+/// One scenario family.
 struct Shape {
   std::size_t nodes;
   std::size_t contacts;
@@ -45,17 +47,14 @@ struct Shape {
   std::size_t communities;
   util::Time ttl;
   double messages_per_minute;
-  std::size_t threads;
 };
 
 constexpr Shape kSingleLane{12, 600, 8 * util::kHour, 5, 3 * util::kHour,
-                            1.0 / 30.0, 1};
+                            1.0 / 30.0};
 // The message population stays proportionate to the sparse contact plan
 // (~8 contacts per node).
 constexpr Shape kFleet{1000, 8000, 12 * util::kHour, 20, 6 * util::kHour,
-                       1.0 / 1440.0, 2};
-
-const core::BrokerElection::Config kElection{3, 5, 5 * util::kHour};
+                       1.0 / 1440.0};
 
 struct Scenario {
   trace::ContactTrace trace;
@@ -81,21 +80,18 @@ struct Scenario {
         }()) {}
 };
 
-engine::NodeConfig node_config_for(const Scenario& s, const Shape& shape) {
-  engine::NodeConfig cfg;
+core::BsubConfig node_config_for(const Scenario& s, const Shape& shape) {
+  core::BsubConfig cfg;
   cfg.df_per_minute = core::compute_df(s.trace, shape.ttl, cfg.filter_params,
                                        cfg.initial_counter)
                           .df_per_minute;
   return cfg;
 }
 
-FleetConfig fleet_config_for(engine::NodeConfig node_config,
-                             const Shape& shape) {
+FleetConfig fleet_config_for(const core::BsubConfig& node_config) {
   FleetConfig cfg;
   cfg.runtime.node = node_config;
   cfg.runtime.decay_tick = 0;  // see file header
-  cfg.election = kElection;
-  cfg.threads = shape.threads;
   return cfg;
 }
 
@@ -116,8 +112,9 @@ std::vector<DeliveryTuple> tuples(
 /// (TraceRunner discards its Network at return).
 class EngineReplay {
  public:
-  EngineReplay(const Scenario& s, engine::NodeConfig node_config)
-      : net_(node_config), election_(s.trace.node_count(), kElection) {
+  EngineReplay(const Scenario& s, const core::BsubConfig& node_config)
+      : net_(node_config),
+        election_(s.trace.node_count(), core::election_config(node_config)) {
     net_.use_per_node_delivery_log(s.trace.node_count());
     for (trace::NodeId n = 0; n < s.trace.node_count(); ++n) {
       engine::BsubNode& node = net_.add_node(n);
@@ -159,15 +156,15 @@ class EngineReplay {
 void expect_results_match(const Shape& shape, std::uint64_t seed) {
   SCOPED_TRACE("seed " + std::to_string(seed));
   Scenario s(shape, seed);
-  const engine::NodeConfig node_config = node_config_for(s, shape);
+  const core::BsubConfig node_config = node_config_for(s, shape);
 
-  engine::TraceRunner runner(node_config, kElection);
+  engine::TraceRunner runner(node_config);
   const engine::TraceRunResults expect = runner.run(s.trace, s.workload);
   ASSERT_GT(expect.deliveries, 0u);
 
-  FleetRuntime fleet(fleet_config_for(node_config, shape));
+  FleetRuntime fleet(fleet_config_for(node_config));
   const FleetRunResults got = fleet.run_loopback(s.trace, s.workload);
-  EXPECT_EQ(got.reactor_threads, shape.threads);
+  EXPECT_EQ(got.reactor_threads, 1u);
 
   EXPECT_EQ(got.protocol.deliveries, expect.deliveries);
   EXPECT_EQ(got.protocol.expected_deliveries, expect.expected_deliveries);
@@ -184,11 +181,11 @@ void expect_results_match(const Shape& shape, std::uint64_t seed) {
 /// same nodes on both substrates — same brokers, same relay paths.
 void expect_logs_and_custody_match(const Shape& shape, std::uint64_t seed) {
   Scenario s(shape, seed);
-  const engine::NodeConfig node_config = node_config_for(s, shape);
+  const core::BsubConfig node_config = node_config_for(s, shape);
 
   EngineReplay replay(s, node_config);
 
-  FleetRuntime fleet(fleet_config_for(node_config, shape));
+  FleetRuntime fleet(fleet_config_for(node_config));
   const FleetRunResults got = fleet.run_loopback(s.trace, s.workload);
   ASSERT_GT(got.protocol.deliveries, 0u);
 
@@ -231,6 +228,60 @@ TEST(FleetDifferential, BitForBitVsTraceRunnerAcrossSeeds) {
 
 TEST(FleetDifferential, DeliveryLogsAndCustodySetsMatch) {
   expect_logs_and_custody_match(kFleet, 77);
+}
+
+TEST(FleetDifferential, OneElectionMappingForEveryDriver) {
+  // Non-default election knobs, read by every driver from the one
+  // BsubConfig through core::election_config: the Simulator's B-SUB, the
+  // fleet, and TraceRunner (bit-identical to the fleet, so it ran the same
+  // election).
+  const Scenario s(kSingleLane, 808);
+  core::BsubConfig cfg = node_config_for(s, kSingleLane);
+  cfg.broker_lower = 1;
+  cfg.broker_upper = 2;
+  cfg.election_window = util::kHour;
+  cfg.reference_node_state = true;
+
+  const core::BrokerElection::Config mapped = core::election_config(cfg);
+  EXPECT_EQ(mapped.lower, 1u);
+  EXPECT_EQ(mapped.upper, 2u);
+  EXPECT_EQ(mapped.window, util::kHour);
+  EXPECT_TRUE(mapped.reference_state);
+  auto expect_mapped = [&](const core::BrokerElection::Config& got) {
+    EXPECT_EQ(got.lower, mapped.lower);
+    EXPECT_EQ(got.upper, mapped.upper);
+    EXPECT_EQ(got.window, mapped.window);
+    EXPECT_EQ(got.reference_state, mapped.reference_state);
+  };
+
+  core::BsubProtocol sim_bsub(cfg);
+  sim::Simulator().run(s.trace, s.workload, sim_bsub);
+  expect_mapped(sim_bsub.election().config());
+
+  FleetRuntime fleet(fleet_config_for(cfg));
+  const FleetRunResults got = fleet.run_loopback(s.trace, s.workload);
+  expect_mapped(fleet.election().config());
+
+  // Same roles node for node, and not the roles the default knobs elect.
+  core::BsubProtocol default_bsub(node_config_for(s, kSingleLane));
+  sim::Simulator().run(s.trace, s.workload, default_bsub);
+  std::size_t differ_from_defaults = 0;
+  for (trace::NodeId n = 0; n < s.trace.node_count(); ++n) {
+    EXPECT_EQ(fleet.node(n).is_broker(), sim_bsub.election().is_broker(n))
+        << "node " << n;
+    if (sim_bsub.election().is_broker(n) !=
+        default_bsub.election().is_broker(n)) {
+      ++differ_from_defaults;
+    }
+  }
+  EXPECT_GT(differ_from_defaults, 0u);
+
+  const engine::TraceRunResults expect =
+      engine::TraceRunner(cfg).run(s.trace, s.workload);
+  EXPECT_EQ(got.protocol.deliveries, expect.deliveries);
+  EXPECT_EQ(got.protocol.frames_delivered, expect.frames_delivered);
+  EXPECT_EQ(got.protocol.bytes_used, expect.bytes_used);
+  EXPECT_EQ(got.protocol.mean_delay_minutes, expect.mean_delay_minutes);
 }
 
 }  // namespace

@@ -2,9 +2,9 @@
 // cache-dense per-node layouts (lazy relay materialization, pooled ring +
 // open-addressing election state, deduplicated interest-filter caches)
 // must be bit-identical to the retained eager reference layouts — on both
-// execution substrates (the strategy-object simulator and the live
-// frame-driven engine), serially and through the windowed parallel
-// executor, across many seeds.
+// execution substrates (the strategy-object simulator, serially and
+// through the windowed parallel executor, and the live frame-driven
+// engine, which replays serially), across many seeds.
 //
 // This is the enforcement half of the memory-floor work's contract: the
 // compact layouts change where bytes live, never what the protocol
@@ -55,10 +55,8 @@ void expect_equal(const metrics::RunResults& lazy,
 }
 
 void expect_equal(const engine::TraceRunResults& lazy,
-                  const engine::TraceRunResults& eager, std::uint64_t seed,
-                  std::size_t threads) {
-  SCOPED_TRACE("engine seed " + std::to_string(seed) + " threads " +
-               std::to_string(threads));
+                  const engine::TraceRunResults& eager, std::uint64_t seed) {
+  SCOPED_TRACE("engine seed " + std::to_string(seed));
   EXPECT_EQ(lazy.deliveries, eager.deliveries);
   EXPECT_EQ(lazy.expected_deliveries, eager.expected_deliveries);
   EXPECT_EQ(lazy.delivery_ratio, eager.delivery_ratio);
@@ -127,26 +125,18 @@ TEST(NodeStateDifferential, TraceRunnerIsBitIdenticalLazyVsEager) {
     wcfg.seed = seed + 1;
     const workload::Workload w(trace, keys, wcfg);
 
-    engine::NodeConfig node_cfg;
+    core::BsubConfig node_cfg;
     node_cfg.df_per_minute = 0.5;
 
-    for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-      engine::TraceRunnerOptions opts;
-      opts.threads = threads;
-      opts.window_events = 256;
-      engine::TraceRunner lazy_runner(
-          node_cfg, {3, 5, 5 * util::kHour, /*reference_state=*/false},
-          sim::kDefaultBandwidthBytesPerSecond, opts);
-      engine::TraceRunner eager_runner(
-          node_cfg, {3, 5, 5 * util::kHour, /*reference_state=*/true},
-          sim::kDefaultBandwidthBytesPerSecond, opts);
+    core::BsubConfig eager_cfg = node_cfg;
+    eager_cfg.reference_node_state = true;
+    const engine::TraceRunResults lazy =
+        engine::TraceRunner(node_cfg).run(trace, w);
+    const engine::TraceRunResults eager =
+        engine::TraceRunner(eager_cfg).run(trace, w);
 
-      const engine::TraceRunResults lazy = lazy_runner.run(trace, w);
-      const engine::TraceRunResults eager = eager_runner.run(trace, w);
-
-      expect_equal(lazy, eager, seed, threads);
-      EXPECT_EQ(lazy.contacts_processed, trace.contacts().size());
-    }
+    expect_equal(lazy, eager, seed);
+    EXPECT_EQ(lazy.contacts_processed, trace.contacts().size());
   }
 }
 

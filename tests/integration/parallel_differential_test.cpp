@@ -8,14 +8,14 @@
 // randomized synthetic scenarios, 10 seeds for B-SUB and 10 for the
 // baselines, and requires every semantic RunResults field, the traffic
 // breakdown, the false-injection count, and the measured relay FPR to
-// match bit for bit. The engine's TraceRunner gets the same treatment.
+// match bit for bit. (The engine's TraceRunner and the fleet's loopback
+// replay are serial; only the Simulator runs the threaded executor.)
 #include <gtest/gtest.h>
 
 #include <vector>
 
 #include "core/bsub_protocol.h"
 #include "core/df_tuning.h"
-#include "engine/trace_runner.h"
 #include "metrics/collector.h"
 #include "routing/pull.h"
 #include "routing/push.h"
@@ -208,45 +208,6 @@ TEST(ParallelDifferential, ProtocolsWithoutOptInStaySerial) {
   s4.run(sc.trace, sc.workload, four);
   EXPECT_EQ(s4.last_run_stats().threads_used, 1u);
   EXPECT_EQ(one.order, four.order);
-}
-
-TEST(ParallelDifferential, TraceRunnerParallelMatchesSerial) {
-  for (std::uint64_t seed = 3; seed <= 7; ++seed) {
-    const ScenarioCase sc(seed);
-    engine::NodeConfig node_cfg;
-    node_cfg.df_per_minute =
-        core::compute_df(sc.trace, 4 * util::kHour, node_cfg.filter_params,
-                         node_cfg.initial_counter)
-            .df_per_minute;
-
-    engine::TraceRunnerOptions serial_opts;
-    serial_opts.threads = 1;
-    engine::TraceRunner serial_runner(node_cfg, {3, 5, 5 * util::kHour},
-                                      sim::kDefaultBandwidthBytesPerSecond,
-                                      serial_opts);
-    const engine::TraceRunResults a = serial_runner.run(sc.trace, sc.workload);
-
-    engine::TraceRunnerOptions parallel_opts;
-    parallel_opts.threads = 4;
-    parallel_opts.window_events = 256;
-    parallel_opts.min_batch_fanout = 1;
-    engine::TraceRunner parallel_runner(node_cfg, {3, 5, 5 * util::kHour},
-                                        sim::kDefaultBandwidthBytesPerSecond,
-                                        parallel_opts);
-    const engine::TraceRunResults b =
-        parallel_runner.run(sc.trace, sc.workload);
-
-    EXPECT_EQ(a.deliveries, b.deliveries) << "s" << seed;
-    EXPECT_EQ(a.expected_deliveries, b.expected_deliveries) << "s" << seed;
-    EXPECT_EQ(a.delivery_ratio, b.delivery_ratio) << "s" << seed;
-    EXPECT_EQ(a.mean_delay_minutes, b.mean_delay_minutes) << "s" << seed;
-    EXPECT_EQ(a.contacts_processed, b.contacts_processed) << "s" << seed;
-    EXPECT_EQ(a.frames_delivered, b.frames_delivered) << "s" << seed;
-    EXPECT_EQ(a.frames_dropped, b.frames_dropped) << "s" << seed;
-    EXPECT_EQ(a.bytes_used, b.bytes_used) << "s" << seed;
-    EXPECT_EQ(parallel_runner.last_run_stats().threads_used, 4u);
-    EXPECT_GT(parallel_runner.last_run_stats().batches, 0u);
-  }
 }
 
 }  // namespace

@@ -1,8 +1,9 @@
 // Streamed-vs-materialized differential: running a lazy city ContactStream
 // directly must be bit-identical to materializing the same stream into a
 // ContactTrace and running that — on both execution substrates (the
-// strategy-object simulator and the live frame-driven engine), serially and
-// through the windowed parallel executor, across many seeds.
+// strategy-object simulator, serially and through the windowed parallel
+// executor, and the live frame-driven engine, which replays serially),
+// across many seeds.
 //
 // This is the enforcement half of ContactStream's ordering contract: a
 // conforming generator yields the exact total order ContactTrace's
@@ -51,10 +52,8 @@ void expect_equal(const metrics::RunResults& s, const metrics::RunResults& m,
 }
 
 void expect_equal(const engine::TraceRunResults& s,
-                  const engine::TraceRunResults& m, std::uint64_t seed,
-                  std::size_t threads) {
-  SCOPED_TRACE("engine seed " + std::to_string(seed) + " threads " +
-               std::to_string(threads));
+                  const engine::TraceRunResults& m, std::uint64_t seed) {
+  SCOPED_TRACE("engine seed " + std::to_string(seed));
   EXPECT_EQ(s.deliveries, m.deliveries);
   EXPECT_EQ(s.expected_deliveries, m.expected_deliveries);
   EXPECT_EQ(s.delivery_ratio, m.delivery_ratio);
@@ -117,23 +116,16 @@ TEST(StreamDifferential, TraceRunnerIsBitIdenticalStreamedVsMaterialized) {
     wcfg.seed = seed + 1;
     const workload::Workload w(materialized, keys, wcfg);
 
-    engine::NodeConfig node_cfg;
+    core::BsubConfig node_cfg;
     node_cfg.df_per_minute = 0.5;
 
-    for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-      engine::TraceRunnerOptions opts;
-      opts.threads = threads;
-      opts.window_events = 256;
-      engine::TraceRunner runner(node_cfg, {3, 5, 5 * util::kHour},
-                                 sim::kDefaultBandwidthBytesPerSecond, opts);
+    engine::TraceRunner runner(node_cfg);
+    stream->reset();
+    const engine::TraceRunResults streamed = runner.run(*stream, w);
+    const engine::TraceRunResults from_trace = runner.run(materialized, w);
 
-      stream->reset();
-      const engine::TraceRunResults streamed = runner.run(*stream, w);
-      const engine::TraceRunResults from_trace = runner.run(materialized, w);
-
-      expect_equal(streamed, from_trace, seed, threads);
-      EXPECT_EQ(streamed.contacts_processed, materialized.contacts().size());
-    }
+    expect_equal(streamed, from_trace, seed);
+    EXPECT_EQ(streamed.contacts_processed, materialized.contacts().size());
   }
 }
 

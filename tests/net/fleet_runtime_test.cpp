@@ -1,14 +1,10 @@
-// FleetRuntime: the deterministic loopback engine must not depend on its
-// thread count and must refuse what it cannot replay exactly; the real-time
-// UDP engine must complete every contact and deliver end to end over real
-// sockets. Bit-identity with engine::TraceRunner is checked in
+// FleetRuntime: the deterministic loopback engine must refuse what it
+// cannot replay exactly; the real-time UDP engine must complete every
+// contact and deliver end to end over real sockets. Bit-identity with engine::TraceRunner is checked in
 // tests/integration/fleet_differential_test.cpp.
 #include <gtest/gtest.h>
 
-#include <memory>
 #include <stdexcept>
-#include <string>
-#include <tuple>
 #include <vector>
 
 #include "core/df_tuning.h"
@@ -43,64 +39,12 @@ struct Scenario {
         }()) {}
 };
 
-engine::NodeConfig node_config_for(const Scenario& s) {
-  engine::NodeConfig cfg;
+core::BsubConfig node_config_for(const Scenario& s) {
+  core::BsubConfig cfg;
   cfg.df_per_minute = core::compute_df(s.trace, 3 * util::kHour,
                                        cfg.filter_params, cfg.initial_counter)
                           .df_per_minute;
   return cfg;
-}
-
-using DeliveryTuple =
-    std::tuple<engine::NodeId, std::uint64_t, std::string, util::Time>;
-
-std::vector<DeliveryTuple> tuples(
-    const std::vector<engine::DeliveryRecord>& records) {
-  std::vector<DeliveryTuple> out;
-  out.reserve(records.size());
-  for (const auto& r : records) {
-    out.emplace_back(r.consumer, r.message_id, r.key, r.at);
-  }
-  return out;
-}
-
-TEST(FleetRuntimeLoopback, ThreadCountDoesNotChangeResults) {
-  Scenario s(202);
-  const engine::NodeConfig node_config = node_config_for(s);
-
-  auto run_with = [&](std::size_t threads) {
-    FleetConfig cfg;
-    cfg.runtime.node = node_config;
-    cfg.runtime.decay_tick = 0;
-    cfg.threads = threads;
-    auto fleet = std::make_unique<FleetRuntime>(cfg);
-    auto results = fleet->run_loopback(s.trace, s.workload);
-    return std::make_pair(std::move(results), tuples(fleet->deliveries()));
-  };
-
-  const auto [serial, serial_log] = run_with(1);
-  const auto [parallel, parallel_log] = run_with(4);
-  ASSERT_GT(serial.protocol.deliveries, 0u);
-  EXPECT_EQ(serial_log, parallel_log);
-  EXPECT_EQ(serial.protocol.bytes_used, parallel.protocol.bytes_used);
-  EXPECT_EQ(serial.protocol.mean_delay_minutes,
-            parallel.protocol.mean_delay_minutes);
-
-  // Transport tallies: lanes move the same datagrams whatever the thread
-  // count, since each contact is its own virtual-time episode.
-  const metrics::TransportStats& a = serial.transport;
-  const metrics::TransportStats& b = parallel.transport;
-  EXPECT_GT(a.datagrams_sent, 0u);
-  EXPECT_EQ(a.datagrams_sent, b.datagrams_sent);
-  EXPECT_EQ(a.datagrams_received, b.datagrams_received);
-  EXPECT_EQ(a.datagrams_dropped, b.datagrams_dropped);
-  EXPECT_EQ(a.frames_sent, b.frames_sent);
-  EXPECT_EQ(a.frames_received, b.frames_received);
-  EXPECT_EQ(a.frames_retransmitted, b.frames_retransmitted);
-  EXPECT_EQ(a.frames_dropped, b.frames_dropped);
-  EXPECT_EQ(a.session_opens, b.session_opens);
-  EXPECT_EQ(a.session_timeouts, b.session_timeouts);
-  EXPECT_EQ(a.reassembly_failures, b.reassembly_failures);
 }
 
 TEST(FleetRuntimeLoopback, RejectsDecayTicksAndSecondRuns) {
@@ -113,7 +57,6 @@ TEST(FleetRuntimeLoopback, RejectsDecayTicksAndSecondRuns) {
   FleetConfig good;
   good.runtime.node = node_config_for(s);
   good.runtime.decay_tick = 0;
-  good.threads = 1;
   FleetRuntime fleet(good);
   fleet.run_loopback(s.trace, s.workload);
   EXPECT_THROW(fleet.run_loopback(s.trace, s.workload), std::logic_error);
@@ -126,13 +69,27 @@ TEST(FleetRuntime, RejectsWorkloadOfADifferentNodeCount) {
                                  std::vector<workload::KeyId>(nodes, 0), {});
   FleetConfig cfg;
   cfg.runtime.decay_tick = 0;
-  cfg.threads = 1;
   FleetRuntime loopback(cfg);
   EXPECT_THROW(loopback.run_loopback(s.trace, wider), util::ConfigError);
   // The real-time engine refuses before it opens a socket.
   cfg.udp.base_port = 46230;
   FleetRuntime udp(cfg);
   EXPECT_THROW(udp.run_udp(s.trace, wider), util::ConfigError);
+}
+
+TEST(FleetRuntime, RejectsAdaptiveDfConfigHandedOverDirectly) {
+  // No spec involved: the engine refuses adaptive DF when the fleet builds
+  // its nodes, on both engines (the real-time one before any socket opens).
+  Scenario s(505, 6, 40);
+  FleetConfig cfg;
+  cfg.runtime.node = node_config_for(s);
+  cfg.runtime.node.adaptive_df = true;
+  cfg.runtime.decay_tick = 0;
+  FleetRuntime loopback(cfg);
+  EXPECT_THROW(loopback.run_loopback(s.trace, s.workload), util::ConfigError);
+  cfg.udp.base_port = 46240;
+  FleetRuntime udp(cfg);
+  EXPECT_THROW(udp.run_udp(s.trace, s.workload), util::ConfigError);
 }
 
 TEST(FleetRuntimeUdp, MiniScenarioDeliversOverRealSockets) {

@@ -5,7 +5,7 @@
 //
 //   # deterministic loopback replay, checked bit-for-bit against the
 //   # engine harness
-//   bsub_fleet --nodes 1000 --contacts 8000 --threads 2 --differential
+//   bsub_fleet --nodes 1000 --contacts 8000 --differential
 //
 //   # real time over batched shard sockets
 //   bsub_fleet --mode udp --nodes 256 --contacts 2000 --shards 2 \
@@ -43,7 +43,6 @@ int usage(const char* argv0) {
       "  --messages M           workload messages (default 200)\n"
       "  --seed S               scenario seed (default %llu)\n"
       "  --mode loopback|udp    engine (default loopback)\n"
-      "  --threads T            loopback reactor threads (0 = auto)\n"
       "  --shards K             udp reactor threads / shard sockets "
       "(default 2)\n"
       "  --io batched|single    sendmmsg/recvmmsg vs sendto/recvfrom\n"
@@ -63,7 +62,6 @@ struct Options {
   FleetPoint point;
   std::uint64_t seed = kDefaultSeed;
   bool udp = false;
-  std::uint64_t threads = 0;
   std::uint64_t shards = 2;
   bool batched_io = false;
   bool io_explicit = false;
@@ -105,8 +103,6 @@ bool parse_options(int argc, char** argv, Options& opts) {
       } else {
         return false;
       }
-    } else if (std::strcmp(arg, "--threads") == 0) {
-      if (!next_u64(opts.threads)) return false;
     } else if (std::strcmp(arg, "--shards") == 0) {
       if (!next_u64(opts.shards) || opts.shards == 0) return false;
     } else if (std::strcmp(arg, "--io") == 0) {
@@ -230,11 +226,7 @@ int main(int argc, char** argv) {
       net::FleetRuntime fleet(cfg);
       r = fleet.run_udp(scenario.trace, scenario.workload);
     } else {
-      cfg.threads = static_cast<std::size_t>(opts.threads);
-      std::printf("engine:         loopback virtual time, %s threads\n",
-                  opts.threads == 0
-                      ? "auto"
-                      : std::to_string(opts.threads).c_str());
+      std::printf("engine:         loopback virtual time, serial\n");
       net::FleetRuntime fleet(cfg);
       r = fleet.run_loopback(scenario.trace, scenario.workload);
       if (opts.differential &&

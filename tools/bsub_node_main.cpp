@@ -170,15 +170,9 @@ int main(int argc, char** argv) {
     bsub::net::RuntimeConfig config;
     config.decay_tick = opts.decay_tick;
     if (!opts.protocol.empty()) {
-      const bsub::core::BsubConfig proto =
-          bsub::core::bsub_config_from_spec(opts.protocol);
-      if (proto.adaptive_df) {
-        std::fprintf(stderr,
-                     "bsub_node: adaptive DF is not supported by the live "
-                     "runtime\n");
-        return 1;
-      }
-      config.node = bsub::engine::node_config_from(proto);
+      // The node refuses what the engine cannot run (adaptive=1) at
+      // construction, with the same util::ConfigError every driver gets.
+      config.node = bsub::core::bsub_config_from_spec(opts.protocol);
     }
     bsub::net::NodeRuntime runtime(opts.id, config, counters);
     runtime.bind(transport, reactor);
